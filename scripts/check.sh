@@ -29,7 +29,10 @@
 #                               # shard attempting a post-fence append,
 #                               # then demand exactly-once completion
 #                               # (AURORA_AUDIT=1) and a merged CSV
-#                               # byte-identical to serial aurora_sim
+#                               # byte-identical to serial aurora_sim;
+#                               # then 3 grids in sequence through one
+#                               # aurora_serve --shards 2 daemon, each
+#                               # byte-identical to serial
 #   scripts/check.sh model      # analytic-model calibration: run the
 #                               # fig4/fig9 study grids through both
 #                               # the simulator and `aurora_lint
@@ -187,6 +190,24 @@ run_obs() {
     echo "obs drill: every exporter validated, fleet chaos traced"
 }
 
+# Readiness probe for an aurora_serve daemon: wait_for_daemon SUBMIT
+# SOCKET. The socket file alone is not enough (a stale file from a
+# SIGKILLed daemon lingers until the next bind), so demand an actual
+# status round-trip.
+wait_for_daemon() {
+    local i=0
+    while [ "${i}" -lt 200 ]; do
+        if "$1" --socket "$2" --tenant probe --status \
+                > /dev/null 2>&1; then
+            return 0
+        fi
+        sleep 0.05
+        i=$((i + 1))
+    done
+    echo "check: daemon on $2 never became ready" >&2
+    return 1
+}
+
 # Service load drill against the real daemon and client binaries.
 #
 # Phase 1 — load + crash: N parallel aurora_submit clients (distinct
@@ -221,28 +242,11 @@ run_serve_drill() {
     local grids="${AURORA_CHECK_SERVE_GRIDS:-25}"
     local insts="${AURORA_CHECK_SERVE_INSTS:-20000}"
 
-    # Readiness probe: the socket file alone is not enough (a stale
-    # file from a SIGKILLed daemon lingers until the next bind), so
-    # demand an actual status round-trip.
-    wait_for_daemon() {
-        local i=0
-        while [ "${i}" -lt 200 ]; do
-            if "${submit}" --socket "$1" --tenant probe --status \
-                    > /dev/null 2>&1; then
-                return 0
-            fi
-            sleep 0.05
-            i=$((i + 1))
-        done
-        echo "serve drill: daemon on $1 never became ready" >&2
-        return 1
-    }
-
     # ---- phase 1: parallel submission storm, then SIGKILL ----------
     "${serve}" --socket "${sock}" --spool "${spool}" \
         --workers "$(nproc)" --quota-grids 64 --quiet &
     local daemon=$!
-    wait_for_daemon "${sock}"
+    wait_for_daemon "${submit}" "${sock}"
 
     local c
     local pids=()
@@ -281,7 +285,7 @@ run_serve_drill() {
     "${serve}" --socket "${sock}" --spool "${spool}" \
         --workers "$(nproc)" --quota-grids 64 --quiet &
     daemon=$!
-    wait_for_daemon "${sock}"
+    wait_for_daemon "${submit}" "${sock}"
 
     local total=0
     local fp n
@@ -307,7 +311,7 @@ run_serve_drill() {
     "${serve}" --socket "${sock2}" --spool "${dir}/spool2" \
         --workers 1 --quota-grids 1 --quiet &
     daemon=$!
-    wait_for_daemon "${sock2}"
+    wait_for_daemon "${submit}" "${sock2}"
 
     "${submit}" --socket "${sock2}" --tenant alice --bench espresso \
         --insts 400000 --no-wait --quiet > /dev/null
@@ -339,12 +343,16 @@ run_serve_drill() {
 # lease, then one post-fence Result the coordinator must refuse with
 # AUR304). Every job must complete exactly once under AURORA_AUDIT=1
 # and the merged CSV must be byte-identical to a serial aurora_sim
-# run of the same grid.
+# run of the same grid. Then three grids in sequence through one
+# `aurora_serve --shards 2` daemon must each succeed and match serial
+# aurora_sim byte for byte: one fleet serves many grids, and each
+# grid's merge must see only its own shard journals (AUR306).
 run_shard_drill() {
     echo "==== check: shard ===="
     cmake --preset release
     cmake --build --preset release -j "$(nproc)" \
-        --target aurora_swarm aurora_shardd aurora_sim
+        --target aurora_swarm aurora_shardd aurora_sim aurora_serve \
+        aurora_submit
     local swarm=build/tools/aurora_swarm
     local shardd=build/tools/aurora_shardd
     local sim=build/tools/aurora_sim
@@ -402,6 +410,33 @@ run_shard_drill() {
     grep "swarm stats:" "${dir}/swarm.log"
     echo "shard drill: kills fenced (AUR302) and the zombie append" \
          "was refused behind the fence (AUR304)"
+
+    local serve=build/tools/aurora_serve
+    local submit=build/tools/aurora_submit
+    local ssock="${dir}/serve.sock"
+    AURORA_AUDIT=1 "${serve}" --socket "${ssock}" \
+        --spool "${dir}/spool" --shards 2 --shardd "${shardd}" --quiet &
+    local daemon=$!
+    wait_for_daemon "${submit}" "${ssock}"
+    local g n
+    for g in 1 2 3; do
+        n=$((insts / 10 + g))
+        if ! "${submit}" --socket "${ssock}" --tenant drill \
+                --bench int --insts "${n}" --timeout-ms 120000 --quiet \
+                --stats-csv "${dir}/fleet${g}.csv" > /dev/null; then
+            echo "shard drill: grid ${g} through the sharded daemon" \
+                 "failed" >&2
+            kill -9 "${daemon}" 2>/dev/null || true
+            exit 1
+        fi
+        "${sim}" --bench int --insts "${n}" \
+            --stats-csv "${dir}/serial${g}.csv" > /dev/null
+        cmp "${dir}/serial${g}.csv" "${dir}/fleet${g}.csv"
+    done
+    kill -TERM "${daemon}"
+    wait "${daemon}"
+    echo "shard drill: 3 grids through one sharded daemon," \
+         "each byte-identical to serial"
 }
 
 # Analytic-model calibration drill: predicted bounds must dominate

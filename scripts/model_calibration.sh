@@ -21,7 +21,8 @@
 #
 # Knobs: AURORA_MODEL_INSTS (default 200000) scales run length;
 # AURORA_MODEL_OUT=<file> additionally writes the gap distribution as
-# a JSON fragment for scripts/bench_perf.sh.
+# a JSON fragment (the host-time benchmark lives in perfbench/, see
+# BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

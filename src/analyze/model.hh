@@ -24,7 +24,8 @@
  * terms assume perfect overlap. The calibration harness
  * (`scripts/check.sh model`) holds the model to exactly that
  * contract: predicted bound >= simulated IPC on every fig4/fig9 job,
- * with the mean gap tracked in BENCH_perf.json.
+ * with the mean gap printed by the drill (AURORA_MODEL_OUT keeps
+ * it as JSON).
  *
  * Everything here is a pure function of (MachineConfig,
  * WorkloadProfile): no clocks, no randomness, no environment reads —

@@ -1,5 +1,9 @@
 #include "journal.hh"
 
+#include <filesystem>
+#include <fstream>
+
+#include "core/audit.hh"
 #include "core/stall.hh"
 #include "util/logging.hh"
 
@@ -237,14 +241,11 @@ gridFingerprint(const std::vector<SweepJob> &grid,
     w.u64(base_seed ? *base_seed : 0);
     w.u64(grid.size());
     for (const SweepJob &job : grid) {
-        const std::uint64_t mh = machineHash(job.machine);
-        w.u64(mh);
+        w.u64(machineHash(job.machine));
         w.str(job.profile.name);
         w.u64(job.profile.seed);
         w.u64(job.instructions);
-        w.u64(base_seed
-                  ? deriveJobSeed(*base_seed, mh, job.profile.name)
-                  : job.profile.seed);
+        w.u64(jobSeed(job, base_seed));
     }
     return util::fnv1a64(w.bytes());
 }
@@ -337,6 +338,67 @@ JournalWriter::append(const JournalRecord &record)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     writer_.append(jobPayload(record));
+}
+
+JournalRecord
+jobRecord(std::size_t index, const SweepJob &job,
+          const std::optional<std::uint64_t> &base_seed,
+          SweepOutcome outcome)
+{
+    JournalRecord rec;
+    rec.job_index = index;
+    rec.machine_hash = machineHash(job.machine);
+    rec.seed = jobSeed(job, base_seed);
+    rec.outcome = std::move(outcome);
+    return rec;
+}
+
+OpenedJournal
+openGridJournal(const std::string &path, std::uint64_t fingerprint,
+                std::uint64_t jobs, bool resume)
+{
+    OpenedJournal opened;
+    // Resuming against a journal that was never created (the previous
+    // run died before its first flush) degrades to a fresh start:
+    // there is nothing to replay, not an error.
+    if (!resume || !std::ifstream(path).good()) {
+        opened.writer =
+            std::make_unique<JournalWriter>(path, fingerprint, jobs);
+        return opened;
+    }
+    LoadedJournal loaded = loadJournal(path);
+    if (loaded.fingerprint != fingerprint || loaded.jobs != jobs)
+        util::raiseError(
+            util::SimErrorCode::BadJournal, "journal '", path,
+            "' was written by a different grid (fingerprint ",
+            loaded.fingerprint, " over ", loaded.jobs,
+            " jobs; this launch is ", fingerprint, " over ", jobs,
+            " jobs) — it cannot replay results for this sweep");
+    if (core::auditEnabled())
+        for (const JournalRecord &rec : loaded.records)
+            if (rec.outcome.ok)
+                core::auditRun(rec.outcome.result);
+    if (loaded.dropped_tail)
+        std::filesystem::resize_file(path, loaded.valid_bytes);
+    opened.writer = std::make_unique<JournalWriter>(path);
+    opened.records = std::move(loaded.records);
+    return opened;
+}
+
+std::vector<char>
+replayOkRecords(std::vector<JournalRecord> &records,
+                std::vector<SweepOutcome> &outcomes)
+{
+    std::vector<char> replayed(outcomes.size(), 0);
+    for (JournalRecord &rec : records) {
+        if (!rec.outcome.ok)
+            continue; // failed/timed-out jobs get a fresh attempt
+        const auto i = static_cast<std::size_t>(rec.job_index);
+        outcomes[i] = std::move(rec.outcome);
+        outcomes[i].resumed = true;
+        replayed[i] = 1;
+    }
+    return replayed;
 }
 
 } // namespace aurora::harness

@@ -39,6 +39,7 @@
 #define AURORA_HARNESS_JOURNAL_HH
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -151,6 +152,42 @@ class JournalWriter
     std::mutex mutex_;
     util::RecordFileWriter writer_;
 };
+
+/**
+ * The journal record of grid job @p index: its machineHash, jobSeed(),
+ * and @p outcome — built here by every writer of job records.
+ */
+JournalRecord jobRecord(std::size_t index, const SweepJob &job,
+                        const std::optional<std::uint64_t> &base_seed,
+                        SweepOutcome outcome);
+
+/** A grid's journal, opened for this launch. */
+struct OpenedJournal
+{
+    std::unique_ptr<JournalWriter> writer;
+    /** Records recovered from disk in file order, failed ones
+     *  included (empty on a fresh start). */
+    std::vector<JournalRecord> records;
+};
+
+/**
+ * Open the journal at @p path for a grid of @p jobs jobs. With
+ * @p resume set and the file present: load it, refuse a different
+ * grid's journal (BadJournal), re-audit every journaled result under
+ * AURORA_AUDIT=1, cut a torn tail, and reopen for append. Otherwise
+ * start a fresh journal. Throws SimError when the file is unusable.
+ */
+OpenedJournal openGridJournal(const std::string &path,
+                              std::uint64_t fingerprint,
+                              std::uint64_t jobs, bool resume);
+
+/**
+ * Standalone resume's replay policy: move every ok record of @p records
+ * into @p outcomes (marked resumed); failed records are skipped, so
+ * their jobs get a fresh attempt. Returns the replayed-job mask.
+ */
+std::vector<char> replayOkRecords(std::vector<JournalRecord> &records,
+                                  std::vector<SweepOutcome> &outcomes);
 
 } // namespace aurora::harness
 

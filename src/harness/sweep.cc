@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <memory>
 #include <sstream>
 #include <thread>
 
 #include "analyze/lint_config.hh"
 #include "analyze/model.hh"
-#include "core/audit.hh"
 #include "core/config_io.hh"
 #include "journal.hh"
 #include "sweep_trace.hh"
@@ -66,6 +62,14 @@ deriveJobSeed(std::uint64_t base_seed, std::uint64_t machine_hash,
     h = mix(h ^ machine_hash);
     h = mix(h ^ fnv1a(profile_name));
     return h ? h : 1;
+}
+
+std::uint64_t
+jobSeed(const SweepJob &job, const std::optional<std::uint64_t> &base_seed)
+{
+    return base_seed ? deriveJobSeed(*base_seed, machineHash(job.machine),
+                                     job.profile.name)
+                     : job.profile.seed;
 }
 
 double
@@ -262,46 +266,17 @@ adviseGrid(const std::vector<SweepJob> &grid,
 namespace
 {
 
-/**
- * Turn a job grid into closures, resolving the seed-derivation and
- * watchdog policy once so run() and runOutcomes() simulate each job
- * identically (healthy results stay bit-comparable between the two).
- * @p deadline_ms fills the watchdog's wall-clock deadline only where
- * an explicit watchdog policy left it unset.
- */
-std::vector<std::function<core::RunResult()>>
-gridTasks(const std::vector<SweepJob> &grid, const SweepOptions &options,
-          std::uint64_t deadline_ms)
+/** Simulate @p job once under @p policy's seed rule and watchdog. */
+core::RunResult
+simulateJob(const SweepJob &job, const JobPolicy &policy)
 {
-    core::WatchdogConfig watchdog =
-        options.watchdog ? *options.watchdog : core::defaultWatchdog();
+    core::WatchdogConfig watchdog = policy.watchdog;
     if (watchdog.deadline_ms == 0)
-        watchdog.deadline_ms = deadline_ms;
-    std::vector<std::function<core::RunResult()>> tasks;
-    tasks.reserve(grid.size());
-    for (const SweepJob &job : grid) {
-        tasks.push_back([&options, &job, watchdog]() {
-            trace::WorkloadProfile profile = job.profile;
-            if (options.base_seed)
-                profile.seed = deriveJobSeed(*options.base_seed,
-                                             machineHash(job.machine),
-                                             profile.name);
-            return core::simulate(job.machine, profile,
-                                  job.instructions, watchdog);
-        });
-    }
-    return tasks;
-}
-
-/** Seed a grid job actually runs with (what the journal records). */
-std::uint64_t
-resolvedSeed(const SweepJob &job, const SweepOptions &options)
-{
-    return options.base_seed
-               ? deriveJobSeed(*options.base_seed,
-                               machineHash(job.machine),
-                               job.profile.name)
-               : job.profile.seed;
+        watchdog.deadline_ms = policy.deadline_ms;
+    trace::WorkloadProfile profile = job.profile;
+    profile.seed = jobSeed(job, policy.base_seed);
+    return core::simulate(job.machine, profile, job.instructions,
+                          watchdog);
 }
 
 /**
@@ -318,6 +293,88 @@ backoffDelayMs(std::uint64_t base_ms, unsigned attempt)
          doublings > 0 && delay < CAP_MS; --doublings)
         delay *= 2;
     return std::min(delay, CAP_MS);
+}
+
+/**
+ * The attempt loop: cancel check, backoff, isolated attempt, timeline
+ * span, retry unless the attempt succeeded or timed out. Every
+ * failure is captured into the outcome — the loop never throws.
+ */
+SweepOutcome
+runAttempts(const std::function<core::RunResult()> &attempt_fn,
+            std::size_t job, const JobPolicy &policy)
+{
+    SweepOutcome out;
+    SweepTimeline *timeline = policy.timeline;
+    const unsigned max_attempts = policy.retries + 1;
+    WallTimer job_timer;
+    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
+        // Cooperative cancellation: refuse to *start* an attempt once
+        // the flag is up; an attempt already simulating is left to
+        // finish (and journal) normally.
+        if (policy.cancel &&
+            policy.cancel->load(std::memory_order_relaxed)) {
+            out.ok = false;
+            out.code = util::SimErrorCode::Cancelled;
+            out.error = attempt == 1 ? "cancelled before execution"
+                                     : "cancelled before retry";
+            out.attempts = attempt - 1;
+            break;
+        }
+        if (attempt > 1 && policy.backoff_ms)
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                backoffDelayMs(policy.backoff_ms, attempt)));
+        out.attempts = attempt;
+        const double span_start = timeline ? timeline->nowMs() : 0.0;
+        try {
+            out.result = attempt_fn();
+            out.ok = true;
+            out.error.clear();
+        } catch (const util::SimError &e) {
+            out.ok = false;
+            out.code = e.code();
+            out.error = e.what();
+        } catch (const std::exception &e) {
+            out.ok = false;
+            out.code = util::SimErrorCode::Internal;
+            out.error = e.what();
+        } catch (...) {
+            out.ok = false;
+            out.code = util::SimErrorCode::Internal;
+            out.error = "unknown exception";
+        }
+        if (timeline) {
+            TimelineSpan span;
+            span.job = job;
+            span.attempt = attempt;
+            span.worker = timeline->workerId();
+            span.start_ms = span_start;
+            span.end_ms = timeline->nowMs();
+            if (out.ok) {
+                span.kind = SpanKind::Ok;
+                span.label = out.result.benchmark.empty()
+                                 ? "job " + std::to_string(job)
+                                 : out.result.benchmark + "@" +
+                                       out.result.model;
+            } else {
+                span.kind = out.code == util::SimErrorCode::Timeout
+                                ? SpanKind::TimedOut
+                                : SpanKind::Failed;
+                span.label = "job " + std::to_string(job);
+                span.error = out.error;
+            }
+            timeline->record(std::move(span));
+        }
+        if (out.ok)
+            break;
+        // A deadline expiry is deterministic for a hung simulation:
+        // retrying would only re-spend the whole deadline. Fail the
+        // job now.
+        if (out.code == util::SimErrorCode::Timeout)
+            break;
+    }
+    out.seconds = job_timer.seconds();
+    return out;
 }
 
 /**
@@ -409,6 +466,13 @@ class ProgressMeter
 
 } // namespace
 
+SweepOutcome
+runJob(const SweepJob &job, std::size_t grid_index, const JobPolicy &policy)
+{
+    return runAttempts([&] { return simulateJob(job, policy); },
+                       grid_index, policy);
+}
+
 std::vector<core::RunResult>
 SweepRunner::run(const std::vector<SweepJob> &grid)
 {
@@ -418,7 +482,12 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
         adviseGrid(grid, options_.watchdog
                              ? *options_.watchdog
                              : core::defaultWatchdog());
-    return runTasks(gridTasks(grid, options_, deadlineMs()));
+    const JobPolicy policy = jobPolicy();
+    std::vector<std::function<core::RunResult()>> tasks;
+    tasks.reserve(grid.size());
+    for (const SweepJob &job : grid)
+        tasks.push_back([&job, &policy] { return simulateJob(job, policy); });
+    return runTasks(tasks);
 }
 
 std::vector<SweepOutcome>
@@ -430,63 +499,25 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
         adviseGrid(grid, options_.watchdog
                              ? *options_.watchdog
                              : core::defaultWatchdog());
+    const std::size_t n = grid.size();
+    const JobPolicy policy = jobPolicy();
+    const auto run_job = [&](std::size_t i) {
+        return runJob(grid[i], i, policy);
+    };
     if (options_.journal.empty()) {
         WallTimer wall;
-        std::vector<SweepOutcome> outcomes = executeOutcomes(
-            gridTasks(grid, options_, deadlineMs()), {}, grid.size(),
-            /*already_done=*/0);
+        std::vector<SweepOutcome> outcomes =
+            executeOutcomes(n, run_job, {}, n, /*already_done=*/0);
         accountOutcomes(outcomes, wall.seconds());
         return outcomes;
     }
 
-    const std::size_t n = grid.size();
-    const std::uint64_t fingerprint =
-        gridFingerprint(grid, options_.base_seed);
     std::vector<SweepOutcome> outcomes(n);
-    std::vector<char> replayed(n, 0);
-
-    // Resuming against a journal that was never created (e.g. the
-    // previous run died before its first flush) degrades to a fresh
-    // run — there is nothing to replay, not an error.
-    const bool resuming = options_.resume && [&] {
-        return std::ifstream(options_.journal).good();
-    }();
-
-    std::unique_ptr<JournalWriter> writer;
-    if (resuming) {
-        LoadedJournal loaded = loadJournal(options_.journal);
-        if (loaded.fingerprint != fingerprint || loaded.jobs != n)
-            util::raiseError(
-                util::SimErrorCode::BadJournal, "journal '",
-                options_.journal,
-                "' was written by a different grid (fingerprint ",
-                loaded.fingerprint, " over ", loaded.jobs,
-                " jobs; this launch is ", fingerprint, " over ", n,
-                " jobs) — it cannot replay results for this sweep");
-        for (JournalRecord &rec : loaded.records) {
-            if (!rec.outcome.ok)
-                continue; // failed/timed-out jobs get a fresh attempt
-            const auto i = static_cast<std::size_t>(rec.job_index);
-            outcomes[i] = std::move(rec.outcome);
-            outcomes[i].resumed = true;
-            replayed[i] = 1;
-        }
-        // A replayed result is only as trustworthy as its record:
-        // re-audit what came off disk just like a fresh run.
-        if (core::auditEnabled())
-            for (std::size_t i = 0; i < n; ++i)
-                if (replayed[i])
-                    core::auditRun(outcomes[i].result);
-        // Cut a torn tail fragment off before appending: left in
-        // place it would sit mid-file and read as Corrupt next time.
-        if (loaded.dropped_tail)
-            std::filesystem::resize_file(options_.journal,
-                                         loaded.valid_bytes);
-        writer = std::make_unique<JournalWriter>(options_.journal);
-    } else {
-        writer = std::make_unique<JournalWriter>(options_.journal,
-                                                 fingerprint, n);
-    }
+    OpenedJournal journal = openGridJournal(
+        options_.journal, gridFingerprint(grid, options_.base_seed), n,
+        options_.resume);
+    const std::vector<char> replayed =
+        replayOkRecords(journal.records, outcomes);
 
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < n; ++i)
@@ -497,7 +528,7 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
             if (!replayed[i])
                 continue;
             TimelineSpan span;
-            span.job = options_.timeline_job_base + i;
+            span.job = i;
             span.label = grid[i].profile.name + "@" +
                          grid[i].machine.name;
             span.attempt = 0;
@@ -511,24 +542,14 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
                               "': ", n - pending.size(), "/", n,
                               " jobs replayed from the journal"));
 
-    auto all_tasks = gridTasks(grid, options_, deadlineMs());
-    std::vector<std::function<core::RunResult()>> tasks;
-    tasks.reserve(pending.size());
-    for (const std::size_t i : pending)
-        tasks.push_back(std::move(all_tasks[i]));
-
     // Completion counter spans the whole grid (replays included) so
     // on_job_done sees grid-relative progress.
     std::atomic<std::size_t> done{n - pending.size()};
     const auto on_complete = [&](std::size_t k,
                                  const SweepOutcome &out) {
         const std::size_t i = pending[k];
-        JournalRecord rec;
-        rec.job_index = i;
-        rec.machine_hash = machineHash(grid[i].machine);
-        rec.seed = resolvedSeed(grid[i], options_);
-        rec.outcome = out;
-        writer->append(rec);
+        journal.writer->append(
+            jobRecord(i, grid[i], options_.base_seed, out));
         const std::size_t d =
             done.fetch_add(1, std::memory_order_relaxed) + 1;
         if (options_.on_job_done)
@@ -537,7 +558,9 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
 
     WallTimer wall;
     std::vector<SweepOutcome> executed = executeOutcomes(
-        tasks, on_complete, n, n - pending.size(), &pending);
+        pending.size(),
+        [&](std::size_t k) { return run_job(pending[k]); }, on_complete,
+        n, n - pending.size());
     for (std::size_t k = 0; k < pending.size(); ++k)
         outcomes[pending[k]] = std::move(executed[k]);
 
@@ -627,108 +650,46 @@ std::vector<SweepOutcome>
 SweepRunner::runTaskOutcomes(
     const std::vector<std::function<core::RunResult()>> &tasks)
 {
+    const JobPolicy policy = jobPolicy();
     WallTimer wall;
-    std::vector<SweepOutcome> outcomes =
-        executeOutcomes(tasks, {}, tasks.size(), /*already_done=*/0);
+    std::vector<SweepOutcome> outcomes = executeOutcomes(
+        tasks.size(),
+        [&](std::size_t i) { return runAttempts(tasks[i], i, policy); },
+        {}, tasks.size(), /*already_done=*/0);
     accountOutcomes(outcomes, wall.seconds());
     return outcomes;
 }
 
+JobPolicy
+SweepRunner::jobPolicy() const
+{
+    JobPolicy policy;
+    policy.base_seed = options_.base_seed;
+    policy.retries = retries();
+    policy.backoff_ms = backoffMs();
+    if (options_.watchdog)
+        policy.watchdog = *options_.watchdog;
+    policy.deadline_ms = deadlineMs();
+    policy.cancel = options_.cancel;
+    policy.timeline = options_.timeline;
+    return policy;
+}
+
 std::vector<SweepOutcome>
 SweepRunner::executeOutcomes(
-    const std::vector<std::function<core::RunResult()>> &tasks,
+    std::size_t n, const std::function<SweepOutcome(std::size_t)> &run_one,
     const std::function<void(std::size_t, const SweepOutcome &)>
         &on_complete,
-    std::size_t grid_total, std::size_t already_done,
-    const std::vector<std::size_t> *grid_indices)
+    std::size_t grid_total, std::size_t already_done)
 {
-    const std::size_t n = tasks.size();
     std::vector<SweepOutcome> outcomes(n);
     std::atomic<std::size_t> completed{0};
-
-    const unsigned pool = workers();
-    const unsigned max_attempts = retries() + 1;
-    const std::uint64_t backoff = backoffMs();
-    SweepTimeline *timeline = options_.timeline;
     ProgressMeter meter(options_, grid_total, already_done);
-    // The body never throws: every failure is captured into its
+    // run_one never throws: every failure is captured into its
     // outcome slot, so one poisoned job cannot abort the grid and
     // parallelFor's fail-fast path stays untouched.
-    const std::atomic<bool> *cancel = options_.cancel;
-    parallelFor(n, pool, [&](std::size_t i) {
-        SweepOutcome &out = outcomes[i];
-        const std::size_t job =
-            options_.timeline_job_base +
-            (grid_indices ? (*grid_indices)[i] : i);
-        WallTimer job_timer;
-        for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-            // Cooperative cancellation: refuse to *start* an attempt
-            // once the flag is up; an attempt already simulating is
-            // left to finish (and journal) normally.
-            if (cancel && cancel->load(std::memory_order_relaxed)) {
-                out.ok = false;
-                out.code = util::SimErrorCode::Cancelled;
-                out.error = attempt == 1
-                                ? "cancelled before execution"
-                                : "cancelled before retry";
-                out.attempts = attempt - 1;
-                break;
-            }
-            if (attempt > 1 && backoff)
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    backoffDelayMs(backoff, attempt)));
-            out.attempts = attempt;
-            const double span_start = timeline ? timeline->nowMs() : 0.0;
-            try {
-                out.result = tasks[i]();
-                out.ok = true;
-                out.error.clear();
-            } catch (const util::SimError &e) {
-                out.ok = false;
-                out.code = e.code();
-                out.error = e.what();
-            } catch (const std::exception &e) {
-                out.ok = false;
-                out.code = util::SimErrorCode::Internal;
-                out.error = e.what();
-            } catch (...) {
-                out.ok = false;
-                out.code = util::SimErrorCode::Internal;
-                out.error = "unknown exception";
-            }
-            if (timeline) {
-                TimelineSpan span;
-                span.job = job;
-                span.attempt = attempt;
-                span.worker = timeline->workerId();
-                span.start_ms = span_start;
-                span.end_ms = timeline->nowMs();
-                if (out.ok) {
-                    span.kind = SpanKind::Ok;
-                    span.label =
-                        out.result.benchmark.empty()
-                            ? "job " + std::to_string(job)
-                            : out.result.benchmark + "@" +
-                                  out.result.model;
-                } else {
-                    span.kind =
-                        out.code == util::SimErrorCode::Timeout
-                            ? SpanKind::TimedOut
-                            : SpanKind::Failed;
-                    span.label = "job " + std::to_string(job);
-                    span.error = out.error;
-                }
-                timeline->record(std::move(span));
-            }
-            if (out.ok)
-                break;
-            // A deadline expiry is deterministic for a hung
-            // simulation: retrying would only re-spend the whole
-            // deadline. Fail the job now.
-            if (out.code == util::SimErrorCode::Timeout)
-                break;
-        }
-        out.seconds = job_timer.seconds();
+    parallelFor(n, workers(), [&](std::size_t i) {
+        SweepOutcome &out = outcomes[i] = run_one(i);
         if (on_complete)
             on_complete(i, out);
         if (meter.enabled())

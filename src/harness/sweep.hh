@@ -13,7 +13,7 @@
  *
  * Determinism guarantee: a job's result depends only on the job
  * itself, never on scheduling. When SweepOptions::base_seed is set,
- * each job's workload seed is rederived as
+ * each job's workload seed is rederived (jobSeed()) as
  *
  *     deriveJobSeed(base_seed, machineHash(machine), profile.name)
  *
@@ -219,15 +219,6 @@ struct SweepOptions
     SweepTimeline *timeline = nullptr;
 
     /**
-     * Offset added to every timeline span's job index. The service
-     * and shard paths execute one-job sub-grids through a shared
-     * grid-wide timeline; the base maps the sub-grid's job 0 back to
-     * its true grid index so the merged trace parents attempts under
-     * the right job span. Ignored when no timeline is attached.
-     */
-    std::size_t timeline_job_base = 0;
-
-    /**
      * Cooperative cancellation for the outcome entry points: checked
      * before every job attempt. Once the flag reads true, jobs not
      * yet started (and pending retries) complete immediately as
@@ -266,6 +257,33 @@ struct SweepOutcome
      */
     bool resumed = false;
 };
+
+/**
+ * Resolved execution policy of one job: everything runJob() needs
+ * besides the job itself. SweepRunner resolves it once per grid from
+ * SweepOptions (environment fallbacks included); aurora_serve and
+ * aurora_shardd fill it from the grid's submitted policy.
+ */
+struct JobPolicy
+{
+    // Each field means what its SweepOptions namesake does.
+    std::optional<std::uint64_t> base_seed;
+    unsigned retries = 0;
+    std::uint64_t backoff_ms = 0;
+    core::WatchdogConfig watchdog = core::defaultWatchdog();
+    /** Applied where watchdog.deadline_ms is 0 (0 = unlimited). */
+    std::uint64_t deadline_ms = 0;
+    const std::atomic<bool> *cancel = nullptr;
+    SweepTimeline *timeline = nullptr;
+};
+
+/**
+ * Run grid job @p grid_index to its outcome: the one attempt loop of
+ * every executor (cancel check, backoff, isolated attempt, timeline
+ * span; no retry after Timeout). Never throws, logs, or heartbeats.
+ */
+SweepOutcome runJob(const SweepJob &job, std::size_t grid_index,
+                    const JobPolicy &policy);
 
 /** Aggregate timing over every grid a runner has executed. */
 struct SweepReport
@@ -378,24 +396,25 @@ class SweepRunner
     bool modelAdviceEnabled() const;
 
   private:
+    /** The per-job policy runJob() applies, resolved from options_. */
+    JobPolicy jobPolicy() const;
+
     /**
-     * Shared executor behind the outcome entry points: runs @p tasks
-     * through the pool with per-job isolation, retry + deterministic
-     * backoff, and Timeout classification. @p on_complete (when set)
-     * observes each finished outcome from its worker thread — the
-     * journal write-through hook. Does not touch report_.
+     * Shared pool behind the outcome entry points: produces @p n
+     * outcomes through @p run_one (an attempt loop that never throws)
+     * on the worker pool. @p on_complete (when set) observes each
+     * finished outcome from its worker thread — the journal
+     * write-through hook. Does not touch report_.
      *
      * @p grid_total and @p already_done scope the progress heartbeat
-     * to the whole grid when only a subset executes (journal resume);
-     * @p grid_indices, when non-null, maps task index -> grid job
-     * index for timeline spans (identity when null).
+     * to the whole grid when only a subset executes (journal resume).
      */
     std::vector<SweepOutcome> executeOutcomes(
-        const std::vector<std::function<core::RunResult()>> &tasks,
+        std::size_t n,
+        const std::function<SweepOutcome(std::size_t)> &run_one,
         const std::function<void(std::size_t, const SweepOutcome &)>
             &on_complete,
-        std::size_t grid_total, std::size_t already_done,
-        const std::vector<std::size_t> *grid_indices = nullptr);
+        std::size_t grid_total, std::size_t already_done);
 
     /** Fold a grid-ordered outcome vector into report_. */
     void accountOutcomes(const std::vector<SweepOutcome> &outcomes,
@@ -419,6 +438,14 @@ std::uint64_t machineHash(const core::MachineConfig &machine);
 std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                             std::uint64_t machine_hash,
                             const std::string &profile_name);
+
+/**
+ * The seed grid job @p job runs with — the one seed rule of every
+ * executor and journal: deriveJobSeed(base_seed, machineHash(machine),
+ * profile name) when a base seed is set, else the profile's own seed.
+ */
+std::uint64_t jobSeed(const SweepJob &job,
+                      const std::optional<std::uint64_t> &base_seed);
 
 /**
  * Lint every machine in @p grid (analyze::lintConfig); lint *errors*

@@ -213,10 +213,9 @@ struct Server::Grid
     std::string tenant;
     std::string label;
     std::vector<harness::SweepJob> jobs;
-    std::optional<std::uint64_t> base_seed;
-    std::uint64_t deadline_ms = 0;
-    std::uint32_t retries = 0;
-    std::uint64_t backoff_ms = 0;
+    /** The submitted seed/retry/deadline/backoff policy every job of
+     *  the grid runs under (cancel flag and timeline wired in). */
+    harness::JobPolicy policy;
     bool cancel_on_disconnect = false;
 
     std::vector<JobState> state;
@@ -254,6 +253,12 @@ struct Server::Grid
     /** Service + fabric spans (admission, swarm supervision, folded
      *  shard attempts); drained into the Chrome trace at completion. */
     obs::SpanLog span_log;
+
+    Grid()
+    {
+        policy.cancel = &cancelled;
+        policy.timeline = &timeline;
+    }
 
     bool complete() const { return done == jobs.size(); }
 
@@ -331,30 +336,15 @@ Server::spoolFile(std::uint64_t fingerprint, const char *suffix) const
     return config_.spool_dir + "/" + os.str() + suffix;
 }
 
-std::uint64_t
-Server::gridSeed(const Grid &grid, std::size_t index) const
-{
-    const harness::SweepJob &job = grid.jobs[index];
-    const std::uint64_t mh = harness::machineHash(job.machine);
-    return grid.base_seed
-               ? harness::deriveJobSeed(*grid.base_seed, mh,
-                                        job.profile.name)
-               : job.profile.seed;
-}
-
 harness::JournalRecord
 Server::cancelRecord(const Grid &grid, std::size_t index) const
 {
-    harness::JournalRecord rec;
-    rec.job_index = index;
-    rec.machine_hash =
-        harness::machineHash(grid.jobs[index].machine);
-    rec.seed = gridSeed(grid, index);
-    rec.outcome.ok = false;
-    rec.outcome.code = util::SimErrorCode::Cancelled;
-    rec.outcome.error = "cancelled while queued";
-    rec.outcome.attempts = 0;
-    return rec;
+    harness::SweepOutcome outcome;
+    outcome.code = util::SimErrorCode::Cancelled;
+    outcome.error = "cancelled while queued";
+    outcome.attempts = 0;
+    return harness::jobRecord(index, grid.jobs[index],
+                              grid.policy.base_seed, std::move(outcome));
 }
 
 void
@@ -409,37 +399,9 @@ Server::loadSpool()
         if (man.dropped_tail)
             fs::resize_file(path, man.valid_bytes);
 
-        const auto makeGrid = [&]() -> std::unique_ptr<Grid> {
-            auto g = std::make_unique<Grid>();
-            g->jobs = buildJobs(man.jobs);
-            g->fingerprint = man.fingerprint;
-            g->tenant = man.tenant;
-            g->label = man.label;
-            g->base_seed = man.has_base_seed
-                               ? std::optional<std::uint64_t>(
-                                     man.base_seed)
-                               : std::nullopt;
-            g->deadline_ms = man.deadline_ms;
-            g->retries = man.retries;
-            g->backoff_ms = man.backoff_ms;
-            g->cancel_on_disconnect = man.cancel_on_disconnect;
-            g->state.resize(g->jobs.size(), Grid::JobState::Pending);
-            g->records.resize(g->jobs.size());
-            g->cadence =
-                config_.progress_every != 0
-                    ? config_.progress_every
-                    : std::max<std::size_t>(1, g->jobs.size() / 4);
-            // The trace id is a pure function of the fingerprint, so
-            // a restarted daemon re-mints the same id and the spans
-            // it emits land in the same trace as the first life's.
-            g->trace_id = obs::traceIdForGrid(g->fingerprint);
-            g->timeline.setTrace(g->trace_id);
-            return g;
-        };
-
-        std::unique_ptr<Grid> grid;
+        auto grid = std::make_unique<Grid>();
         try {
-            grid = makeGrid();
+            grid->jobs = buildJobs(man.jobs);
         } catch (const util::SimError &e) {
             warn(detail::concat("spool: manifest ", path.string(),
                                 " references an unknown model or "
@@ -447,9 +409,31 @@ Server::loadSpool()
                                 e.what()));
             continue;
         }
+        grid->fingerprint = man.fingerprint;
+        grid->tenant = man.tenant;
+        grid->label = man.label;
+        grid->policy.base_seed =
+            man.has_base_seed
+                ? std::optional<std::uint64_t>(man.base_seed)
+                : std::nullopt;
+        grid->policy.deadline_ms = man.deadline_ms;
+        grid->policy.retries = man.retries;
+        grid->policy.backoff_ms = man.backoff_ms;
+        grid->cancel_on_disconnect = man.cancel_on_disconnect;
+        grid->state.resize(grid->jobs.size(), Grid::JobState::Pending);
+        grid->records.resize(grid->jobs.size());
+        grid->cadence =
+            config_.progress_every != 0
+                ? config_.progress_every
+                : std::max<std::size_t>(1, grid->jobs.size() / 4);
+        // The trace id is a pure function of the fingerprint, so a
+        // restarted daemon re-mints the same id and the spans it emits
+        // land in the same trace as the first life's.
+        grid->trace_id = obs::traceIdForGrid(grid->fingerprint);
+        grid->timeline.setTrace(grid->trace_id);
 
-        const std::uint64_t fp =
-            harness::gridFingerprint(grid->jobs, grid->base_seed);
+        const std::uint64_t fp = harness::gridFingerprint(
+            grid->jobs, grid->policy.base_seed);
         if (fp != man.fingerprint) {
             warn(detail::concat(
                 "spool: manifest ", path.string(),
@@ -458,51 +442,32 @@ Server::loadSpool()
         }
 
         const std::string journal_path = spoolFile(fp, ".ajrn");
-        bool reopened = false;
-        if (fs::exists(journal_path)) {
-            try {
-                const harness::LoadedJournal loaded =
-                    harness::loadJournal(journal_path);
-                if (loaded.fingerprint != fp ||
-                    loaded.jobs != grid->jobs.size())
-                    util::raiseError(
-                        util::SimErrorCode::BadJournal, "journal '",
-                        journal_path,
-                        "' does not match its manifest");
-                if (loaded.dropped_tail)
-                    fs::resize_file(journal_path,
-                                    loaded.valid_bytes);
-                for (const harness::JournalRecord &rec :
-                     loaded.records)
-                    if (grid->state[rec.job_index] !=
-                        Grid::JobState::Done) {
-                        applyRecord(*grid, rec,
-                                    /*from_journal=*/true);
-                        ++resumed_jobs_;
-                    }
-                grid->journal =
-                    std::make_unique<harness::JournalWriter>(
-                        journal_path);
-                reopened = true;
-            } catch (const util::SimError &e) {
-                // A rotted journal must not poison the grid: the
-                // manifest alone fully determines the work, so warn
-                // and rerun from scratch (standalone resume refuses
-                // instead — it has no manifest to fall back on).
-                warn(detail::concat("spool: journal ", journal_path,
-                                    " unusable (", e.what(),
-                                    "); rerunning grid from scratch"));
-                std::error_code ec;
-                fs::remove(journal_path, ec);
-                // Back out any partially-applied replay accounting.
-                done_jobs_ -= grid->done;
-                resumed_jobs_ -= grid->resumed;
-                grid = makeGrid();
-            }
+        harness::OpenedJournal journal;
+        try {
+            journal = harness::openGridJournal(
+                journal_path, fp, grid->jobs.size(), /*resume=*/true);
+        } catch (const util::SimError &e) {
+            // A rotted journal (or one whose results fail the audit)
+            // must not poison the grid: the manifest alone fully
+            // determines the work, so warn and rerun from scratch
+            // (standalone resume refuses instead — it has no manifest
+            // to fall back on).
+            warn(detail::concat("spool: journal ", journal_path,
+                                " unusable (", e.what(),
+                                "); rerunning grid from scratch"));
+            journal = harness::openGridJournal(
+                journal_path, fp, grid->jobs.size(), /*resume=*/false);
         }
-        if (!reopened)
-            grid->journal = std::make_unique<harness::JournalWriter>(
-                journal_path, fp, grid->jobs.size());
+        // The service journals outcomes after the retry budget, so
+        // every record — failed ones included — is terminal and
+        // replays.
+        for (harness::JournalRecord &rec : journal.records)
+            if (grid->state[rec.job_index] != Grid::JobState::Done) {
+                applyRecord(*grid, std::move(rec),
+                            /*from_journal=*/true);
+                ++resumed_jobs_;
+            }
+        grid->journal = std::move(journal.writer);
 
         if (man.cancelled) {
             grid->cancelled.store(true);
@@ -542,23 +507,26 @@ Server::loadSpool()
     }
 }
 
-harness::SweepOutcome
-Server::executeJob(Grid &grid, std::size_t index)
+void
+Server::commitRecords(Grid &grid,
+                      std::vector<harness::JournalRecord> records)
 {
-    harness::SweepOptions options;
-    options.workers = 1;
-    options.base_seed = grid.base_seed;
-    options.retries = grid.retries;
-    options.deadline_ms = grid.deadline_ms;
-    options.backoff_ms = grid.backoff_ms;
-    options.preflight = false; // linted once at admission
-    options.cancel = &grid.cancelled;
-    options.timeline = &grid.timeline;
-    options.timeline_job_base = index;
-    harness::SweepRunner runner(std::move(options));
-    std::vector<harness::SweepOutcome> outcomes =
-        runner.runOutcomes({grid.jobs[index]});
-    return std::move(outcomes.front());
+    // Durable before visible: every append is flushed before any
+    // completion is posted, so a SIGKILL landing here loses nothing a
+    // client was ever told about.
+    for (const harness::JournalRecord &rec : records)
+        grid.journal->append(rec);
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        for (harness::JournalRecord &rec : records) {
+            const std::size_t index = rec.job_index;
+            applyRecord(grid, std::move(rec), /*from_journal=*/false);
+            scheduler_.jobFinished(grid.tenant);
+            completions_.emplace_back(grid.fingerprint, index);
+        }
+        running_jobs_ -= records.size();
+    }
+    wake_.notify();
 }
 
 void
@@ -583,26 +551,12 @@ Server::workerMain()
             ++running_jobs_;
         }
 
-        harness::JournalRecord rec;
-        rec.job_index = unit.job_index;
-        rec.machine_hash = harness::machineHash(
-            grid->jobs[unit.job_index].machine);
-        rec.seed = gridSeed(*grid, unit.job_index);
-        rec.outcome = executeJob(*grid, unit.job_index);
-        // Durable before visible: the journal append is flushed
-        // before the completion is posted, so a SIGKILL landing here
-        // loses nothing a client was ever told about.
-        grid->journal->append(rec);
-
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            applyRecord(*grid, std::move(rec), /*from_journal=*/false);
-            scheduler_.jobFinished(grid->tenant);
-            completions_.emplace_back(unit.fingerprint,
-                                      unit.job_index);
-            --running_jobs_;
-        }
-        wake_.notify();
+        const harness::SweepJob &job = grid->jobs[unit.job_index];
+        commitRecords(*grid,
+                      {harness::jobRecord(
+                          unit.job_index, job, grid->policy.base_seed,
+                          harness::runJob(job, unit.job_index,
+                                          grid->policy))});
     }
 }
 
@@ -674,10 +628,10 @@ Server::shardMain()
         // name) — position-independent — so a sub-grid of pending
         // jobs reproduces the full grid's per-job seeds exactly.
         shard::GridOptions options;
-        options.base_seed = grid->base_seed;
-        options.retries = grid->retries;
-        options.deadline_ms = grid->deadline_ms;
-        options.backoff_ms = grid->backoff_ms;
+        options.base_seed = grid->policy.base_seed;
+        options.retries = grid->policy.retries;
+        options.deadline_ms = grid->policy.deadline_ms;
+        options.backoff_ms = grid->policy.backoff_ms;
         options.preflight = false; // linted once at admission
         options.trace_id = grid->trace_id;
         options.span_log = &grid->span_log;
@@ -746,34 +700,13 @@ Server::shardMain()
             }
         }
 
-        // Durable before visible, batch-wise: every record is
-        // journaled before any completion is posted.
         std::vector<harness::JournalRecord> records;
         records.reserve(batch.size());
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            harness::JournalRecord rec;
-            rec.job_index = batch[k];
-            rec.machine_hash =
-                harness::machineHash(grid->jobs[batch[k]].machine);
-            rec.seed = gridSeed(*grid, batch[k]);
-            rec.outcome = std::move(outcomes[k]);
-            grid->journal->append(rec);
-            records.push_back(std::move(rec));
-        }
-
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            const std::size_t n = records.size();
-            for (harness::JournalRecord &rec : records) {
-                const std::size_t index = rec.job_index;
-                applyRecord(*grid, std::move(rec),
-                            /*from_journal=*/false);
-                scheduler_.jobFinished(grid->tenant);
-                completions_.emplace_back(grid->fingerprint, index);
-            }
-            running_jobs_ -= n;
-        }
-        wake_.notify();
+        for (std::size_t k = 0; k < batch.size(); ++k)
+            records.push_back(harness::jobRecord(
+                batch[k], grid->jobs[batch[k]], grid->policy.base_seed,
+                std::move(outcomes[k])));
+        commitRecords(*grid, std::move(records));
     }
 }
 
@@ -1111,10 +1044,10 @@ Server::handleSubmit(Session &session, const std::string &payload)
     grid->tenant = session.tenant();
     grid->label = msg.label;
     grid->jobs = std::move(jobs);
-    grid->base_seed = base_seed;
-    grid->deadline_ms = msg.deadline_ms;
-    grid->retries = msg.retries;
-    grid->backoff_ms = msg.backoff_ms;
+    grid->policy.base_seed = base_seed;
+    grid->policy.deadline_ms = msg.deadline_ms;
+    grid->policy.retries = msg.retries;
+    grid->policy.backoff_ms = msg.backoff_ms;
     grid->cancel_on_disconnect = msg.cancel_on_disconnect;
     grid->state.resize(grid->jobs.size(), Grid::JobState::Pending);
     grid->records.resize(grid->jobs.size());
@@ -1141,9 +1074,9 @@ Server::handleSubmit(Session &session, const std::string &payload)
         man.cancel_on_disconnect = grid->cancel_on_disconnect;
         man.has_base_seed = base_seed.has_value();
         man.base_seed = base_seed.value_or(0);
-        man.deadline_ms = grid->deadline_ms;
-        man.retries = grid->retries;
-        man.backoff_ms = grid->backoff_ms;
+        man.deadline_ms = grid->policy.deadline_ms;
+        man.retries = grid->policy.retries;
+        man.backoff_ms = grid->policy.backoff_ms;
         man.jobs = msg.jobs;
         util::RecordFileWriter manifest(spoolFile(fp, ".grid"),
                                         /*truncate=*/true);

@@ -7,10 +7,10 @@
  * every tenant's sweep grids. Architecture: a single poll() thread
  * owns the listener, all client sessions, and all protocol state;
  * N worker threads pull (grid, job) units from the fair Scheduler and
- * execute each through a per-job SweepRunner — so seed derivation,
- * retry/backoff, and deadline semantics are *literally* the library's,
- * and a grid run through the service is bit-identical to the same
- * grid run by a standalone SweepRunner.
+ * execute each through harness::runJob under the grid's JobPolicy —
+ * so seed derivation, retry/backoff, and deadline semantics are
+ * *literally* the library's, and a grid run through the service is
+ * bit-identical to the same grid run by a standalone SweepRunner.
  *
  * Durability contract (the tentpole): every accepted grid is
  * persisted in the spool directory as a manifest (the submission,
@@ -183,10 +183,12 @@ class Server
     void cancelGrid(Grid &grid);
     void markCancelManifest(Grid &grid);
     void gridCompleted(Grid &grid);
-    harness::SweepOutcome executeJob(Grid &grid, std::size_t index);
+    /** Journal @p records, then apply them and post their
+     *  completions (durable before visible); mutex_ not held. */
+    void commitRecords(Grid &grid,
+                       std::vector<harness::JournalRecord> records);
     void applyRecord(Grid &grid, harness::JournalRecord record,
                      bool from_journal);
-    std::uint64_t gridSeed(const Grid &grid, std::size_t index) const;
     harness::JournalRecord cancelRecord(const Grid &grid,
                                         std::size_t index) const;
     void broadcast(std::uint64_t fingerprint,

@@ -55,44 +55,26 @@ buildJob(const wire::JobSpec &spec)
 }
 
 /**
- * Execute one assigned job, mirroring aurora_serve's executeJob()
- * shape exactly (workers=1, preflight off) so the journal record is
- * bit-identical to what a serial SweepRunner run of the same grid
- * would write for this index.
+ * Execute one assigned job through the harness attempt loop with the
+ * grid's policy, so the journal record is bit-identical to what a
+ * serial SweepRunner run of the same grid writes for this index.
+ * The timeline only observes attempts; it never steers them.
  */
 harness::JournalRecord
 runAssignedJob(const wire::JobSpec &spec,
                harness::SweepTimeline *timeline = nullptr)
 {
     const harness::SweepJob job = buildJob(spec);
-    const std::uint64_t mh = harness::machineHash(job.machine);
-
-    harness::SweepOptions options;
-    options.workers = 1;
+    const auto index = static_cast<std::size_t>(spec.job_index);
+    harness::JobPolicy policy;
     if (spec.has_base_seed)
-        options.base_seed = spec.base_seed;
-    options.retries = spec.retries;
-    options.deadline_ms = spec.deadline_ms;
-    options.backoff_ms = spec.backoff_ms;
-    options.preflight = false; // the coordinator linted at admission
-    // Observation only: the timeline records attempts, it never
-    // steers them — the journal record stays bit-identical.
-    options.timeline = timeline;
-    options.timeline_job_base =
-        static_cast<std::size_t>(spec.job_index);
-    harness::SweepRunner runner(std::move(options));
-    std::vector<harness::SweepOutcome> outcomes =
-        runner.runOutcomes({job});
-
-    harness::JournalRecord rec;
-    rec.job_index = spec.job_index;
-    rec.machine_hash = mh;
-    rec.seed = spec.has_base_seed
-                   ? harness::deriveJobSeed(spec.base_seed, mh,
-                                            job.profile.name)
-                   : job.profile.seed;
-    rec.outcome = std::move(outcomes.front());
-    return rec;
+        policy.base_seed = spec.base_seed;
+    policy.retries = spec.retries;
+    policy.deadline_ms = spec.deadline_ms;
+    policy.backoff_ms = spec.backoff_ms;
+    policy.timeline = timeline;
+    return harness::jobRecord(index, job, policy.base_seed,
+                              harness::runJob(job, index, policy));
 }
 
 /** Sleep in interruptible 50 ms slices (keeps a wedged/zombie shard

@@ -4,12 +4,12 @@
  *
  * A shard worker dials the coordinator's Unix socket, receives a
  * slot + lease epoch (Welcome), and then loops: pull assigned jobs,
- * execute each through a per-job SweepRunner (workers=1 — exactly
- * the execution shape aurora_serve uses, so results are bit-identical
- * to both the daemon and a serial run), append the outcome to its
- * per-epoch local journal, *then* offer it to the coordinator
- * (durable-before-visible), heartbeating between jobs to renew its
- * lease.
+ * execute each through harness::runJob under the grid's policy (the
+ * attempt loop aurora_serve and SweepRunner use, so results are
+ * bit-identical to both the daemon and a serial run), append the
+ * outcome to its per-epoch local journal, *then* offer it to the
+ * coordinator (durable-before-visible), heartbeating between jobs to
+ * renew its lease.
  *
  * The worker is deliberately trusting and dumb: all placement,
  * migration, fencing, and exactly-once logic lives in the

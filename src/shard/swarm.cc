@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 #include <utility>
 
@@ -761,57 +760,35 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
     if (options.preflight)
         harness::preflightGrid(grid);
     draining_ = false;
+    // Grid state is scoped to this call. A reused Swarm must not merge
+    // the previous grid's shard journals (their entries are neither
+    // committed nor fenced here: AUR306), fold in their span files, or
+    // keep its tickets alive.
+    journal_refs_.clear();
+    tickets_.clear();
+    pending_.clear();
     trace_id_ = options.trace_id;
     span_log_ = options.span_log;
     const double grid_start_us = obsNowUs();
 
     const std::size_t n = grid.size();
     std::vector<harness::SweepOutcome> outcomes(n);
-    std::vector<char> replayed(n, 0);
 
     // Commit journal: the coordinator's own durable record, in the
     // standard harness journal format so `--resume` and every existing
     // journal tool read it unchanged.
     const std::uint64_t fingerprint =
         harness::gridFingerprint(grid, options.base_seed);
-    std::unique_ptr<harness::JournalWriter> writer;
+    harness::OpenedJournal journal;
+    std::vector<char> replayed(n, 0);
     if (!options.journal.empty()) {
-        const bool resuming = options.resume && [&] {
-            return std::ifstream(options.journal).good();
-        }();
-        if (resuming) {
-            harness::LoadedJournal loaded =
-                harness::loadJournal(options.journal);
-            if (loaded.fingerprint != fingerprint || loaded.jobs != n)
-                util::raiseError(
-                    util::SimErrorCode::BadJournal, "journal '",
-                    options.journal,
-                    "' was written by a different grid — it cannot "
-                    "replay results for this sweep");
-            for (harness::JournalRecord &rec : loaded.records) {
-                if (!rec.outcome.ok)
-                    continue; // failed jobs get a fresh attempt
-                const auto i = static_cast<std::size_t>(rec.job_index);
-                outcomes[i] = std::move(rec.outcome);
-                outcomes[i].resumed = true;
-                replayed[i] = 1;
-                ++stats_.resumed;
-            }
-            if (core::auditEnabled())
-                for (std::size_t i = 0; i < n; ++i)
-                    if (replayed[i])
-                        core::auditRun(outcomes[i].result);
-            if (loaded.dropped_tail)
-                std::filesystem::resize_file(options.journal,
-                                             loaded.valid_bytes);
-            writer = std::make_unique<harness::JournalWriter>(
-                options.journal);
-        } else {
-            writer = std::make_unique<harness::JournalWriter>(
-                options.journal, fingerprint, n);
-        }
+        journal = harness::openGridJournal(options.journal, fingerprint,
+                                           n, options.resume);
+        replayed = harness::replayOkRecords(journal.records, outcomes);
+        stats_.resumed += static_cast<std::uint64_t>(
+            std::count(replayed.begin(), replayed.end(), 1));
     }
-    commit_journal_ = writer.get();
+    commit_journal_ = journal.writer.get();
     struct ClearGridState
     {
         Swarm *swarm;
@@ -952,11 +929,7 @@ Swarm::runGrid(const std::vector<harness::SweepJob> &grid,
         const auto i = static_cast<std::size_t>(rec.job_index);
         const harness::SweepJob &job = grid[i];
         const std::uint64_t mh = harness::machineHash(job.machine);
-        const std::uint64_t seed =
-            options.base_seed
-                ? harness::deriveJobSeed(*options.base_seed, mh,
-                                         job.profile.name)
-                : job.profile.seed;
+        const std::uint64_t seed = harness::jobSeed(job, options.base_seed);
         if (rec.machine_hash != mh || rec.seed != seed)
             util::raiseError(
                 util::SimErrorCode::BadJournal,

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/config_io.hh"
+#include "faultinject/faultinject.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "serve/server.hh"
@@ -535,6 +536,59 @@ TEST(ServeServer, SigkillMidGridResumesBitIdentical)
     expectBitIdentical(stream, runSerial(profiles, 150'000, 77));
 }
 
+TEST(ServeServer, AuditedSpoolReplayRerunsDamagedJournal)
+{
+    auto config = baseConfig("serve_audit");
+    const auto socket_path = config.socket_path;
+    const auto spool_dir = config.spool_dir;
+    const std::vector<std::string> profiles = {"espresso", "li"};
+
+    std::uint64_t fingerprint = 0;
+    {
+        TestDaemon daemon(std::move(config));
+        Client client(daemon.server().socketPath(), "alice");
+        client.send(wire::encode(smallSubmit(profiles, 3000, 61)));
+        fingerprint = wire::decodeAccepted(mustRecv(client)).fingerprint;
+        streamToDone(client, fingerprint);
+    }
+
+    // Rewrite the spooled journal with one result whose stall ledger
+    // no longer balances — CRC-valid, so only the audit can catch it.
+    char name[32];
+    std::snprintf(name, sizeof name, "%016llx",
+                  static_cast<unsigned long long>(fingerprint));
+    const std::string journal_path = spool_dir + "/" + name + ".ajrn";
+    harness::LoadedJournal loaded = harness::loadJournal(journal_path);
+    ASSERT_EQ(loaded.records.size(), profiles.size());
+    ASSERT_TRUE(loaded.records.front().outcome.ok);
+    faultinject::miscountStall(loaded.records.front().outcome.result, 7);
+    {
+        harness::JournalWriter writer(journal_path, loaded.fingerprint,
+                                      loaded.jobs);
+        for (const harness::JournalRecord &rec : loaded.records)
+            writer.append(rec);
+    }
+
+    ::setenv("AURORA_AUDIT", "1", 1);
+    serve::ServerConfig next;
+    next.socket_path = socket_path;
+    next.spool_dir = spool_dir;
+    next.workers = 2;
+    TestDaemon daemon(std::move(next));
+    EXPECT_EQ(daemon.server().resumedGrids(), 1u);
+    EXPECT_EQ(daemon.server().resumedJobs(), 0u);
+
+    Client client(socket_path, "alice");
+    client.send(wire::encode(wire::AttachMsg{fingerprint}));
+    ASSERT_EQ(wire::peekType(mustRecv(client)), wire::MsgType::Accepted);
+    const GridStream stream = streamToDone(client, fingerprint);
+    daemon.stop();
+    ::unsetenv("AURORA_AUDIT");
+    EXPECT_EQ(stream.done.ok, profiles.size());
+    EXPECT_EQ(stream.done.resumed, 0u);
+    expectBitIdentical(stream, runSerial(profiles, 3000, 61));
+}
+
 TEST(ServeServer, StatusReportCountsWork)
 {
     TestDaemon daemon(baseConfig("serve_status"));
@@ -600,6 +654,18 @@ TEST(ServeServer, ShardBackendStreamsBitIdenticalToStandaloneRunner)
     EXPECT_EQ(stream.done.ok, profiles.size());
     EXPECT_EQ(stream.done.failed, 0u);
     expectBitIdentical(stream, runSerial(profiles, 3000, 42));
+
+    // A second grid through the same fleet: its merge must see only
+    // the shard journals of its own leases (AUR306 otherwise).
+    client.send(wire::encode(smallSubmit(profiles, 3000, 43)));
+    const auto second = client.recv();
+    ASSERT_TRUE(second.has_value());
+    ASSERT_EQ(wire::peekType(*second), wire::MsgType::Accepted);
+    const GridStream again =
+        streamToDone(client, wire::decodeAccepted(*second).fingerprint);
+    EXPECT_EQ(again.done.ok, profiles.size());
+    EXPECT_EQ(again.done.failed, 0u);
+    expectBitIdentical(again, runSerial(profiles, 3000, 43));
 }
 #endif
 
