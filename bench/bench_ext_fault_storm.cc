@@ -46,7 +46,7 @@
 #include "core/watchdog.hh"
 #include "faultinject/faultinject.hh"
 #include "harness/journal.hh"
-#include "harness/sweep_trace.hh"
+#include "obs/trace.hh"
 #include "telemetry/json.hh"
 #include "trace/synthetic_workload.hh"
 #include "trace/trace_io.hh"
@@ -523,7 +523,7 @@ timelineStorm(Count insts)
 
     // One timeline across both acts, so retry, timeout, and resume
     // spans land in a single trace-event artifact.
-    SweepTimeline timeline;
+    obs::SpanLog timeline;
 
     // Act 1: two healthy tasks, one transiently flaky one (retry
     // recovers it), and one wedged machine under a short wall-clock
@@ -585,9 +585,9 @@ timelineStorm(Count insts)
     // The artifact must witness every span class the storm produced.
     std::size_t retried = 0, timed_out = 0, resumed = 0;
     for (const auto &span : timeline.spans()) {
-        retried += span.kind == SpanKind::Ok && span.attempt == 2;
-        timed_out += span.kind == SpanKind::TimedOut;
-        resumed += span.kind == SpanKind::Resumed;
+        retried += span.cat == "ok" && span.attempt == 2;
+        timed_out += span.cat == "timeout";
+        resumed += span.cat == "resumed";
     }
     expect(retried == 1, "timeline records the retry span (attempt 2)");
     expect(timed_out == 1, "timeline records the timeout span");
@@ -604,7 +604,8 @@ timelineStorm(Count insts)
                                   .string();
     {
         std::ofstream os(artifact);
-        writeTimelineTrace(os, timeline, "fault storm sweep");
+        obs::writeChromeTrace(os, timeline.spans(),
+                              {{0, "fault storm sweep"}});
     }
     std::ifstream is(artifact);
     std::stringstream text;

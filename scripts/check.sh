@@ -43,8 +43,10 @@
 #   scripts/check.sh obs        # observability drill: exercise every
 #                               # exporter (--stats-json, --stats-csv,
 #                               # --trace-events, --sweep-trace, the
-#                               # fault-storm timeline artifact) and
-#                               # validate each with aurora_obs_check
+#                               # fault-storm timeline artifact, the
+#                               # swarm and serve worker-pool grid
+#                               # traces) and validate each with
+#                               # aurora_obs_check
 #   scripts/check.sh all        # all four presets, all four drills,
 #                               # and the lint stage
 #
@@ -187,6 +189,27 @@ run_obs() {
     grep -q "\"event\": \"welcome\".*epoch=${epoch} " \
         "${obsdir}/shard-e${epoch}.flight"
     "${check}" postmortem "${obsdir}" 6 | grep -q 'fence @'
+
+    # Daemon worker pool: a grid run by aurora_serve's own workers
+    # (no shards) leaves spool/<fp>.trace.json, whose job and attempt
+    # spans must close their parentage like the fleet trace.
+    cmake --build --preset release -j "$(nproc)" \
+        --target aurora_serve aurora_submit
+    local serve=build/tools/aurora_serve
+    local submit=build/tools/aurora_submit
+    local sock="${dir}/serve.sock"
+    local spool="${dir}/serve_spool"
+    "${serve}" --socket "${sock}" --spool "${spool}" --shards 0 \
+        --workers 2 --quiet &
+    local daemon=$!
+    wait_for_daemon "${submit}" "${sock}"
+    "${submit}" --socket "${sock}" --tenant obs --bench int \
+        --insts "${insts}" --quiet --timeout-ms 120000 > /dev/null
+    kill -TERM "${daemon}"
+    wait "${daemon}"
+    local traces=("${spool}"/*.trace.json)
+    [ "${#traces[@]}" -eq 1 ]
+    "${check}" trace "${traces[0]}" | grep -q 'parentage closed'
     echo "obs drill: every exporter validated, fleet chaos traced"
 }
 

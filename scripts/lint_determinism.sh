@@ -18,7 +18,8 @@ cd "$(dirname "$0")/.."
 
 # src/telemetry is covered too: samplers and exporters take
 # timestamps as event payloads, they never read clocks themselves
-# (wall-clock sweep timelines live in src/harness, outside the core).
+# (attempt spans take steady-clock time from obs::SpanLog, outside
+# the core).
 # src/serve is covered because resumed grids must replay
 # bit-identically: the daemon may time things with steady_clock, but
 # nothing in the service layer may consult wall clocks, randomness, or

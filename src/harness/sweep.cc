@@ -10,7 +10,6 @@
 #include "analyze/model.hh"
 #include "core/config_io.hh"
 #include "journal.hh"
-#include "sweep_trace.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -185,10 +184,12 @@ SweepRunner::modelAdviceEnabled() const
  * 18000-job grid with a systematic defect stays readable.
  */
 void
-preflightGrid(const std::vector<SweepJob> &grid)
+preflightGrid(const std::vector<SweepJob> &grid,
+              std::string *first_error_id)
 {
     constexpr std::size_t MAX_LINES = 12;
     std::size_t bad_jobs = 0;
+    std::string first_id;
     std::string lines;
     for (std::size_t i = 0; i < grid.size(); ++i) {
         const std::vector<analyze::Diagnostic> findings =
@@ -202,20 +203,24 @@ preflightGrid(const std::vector<SweepJob> &grid)
                                 grid[i].profile.name, "@",
                                 grid[i].machine.name, "):");
         for (const analyze::Diagnostic &d : findings)
-            if (d.severity == analyze::Severity::Error)
+            if (d.severity == analyze::Severity::Error) {
+                if (first_id.empty())
+                    first_id = d.id;
                 lines += detail::concat(" ", d.id);
+            }
     }
     if (bad_jobs == 0)
         return;
     if (bad_jobs > MAX_LINES)
         lines += detail::concat("\n  ... and ", bad_jobs - MAX_LINES,
                                 " more");
+    if (first_error_id)
+        *first_error_id = first_id;
     util::raiseError(
         util::SimErrorCode::BadConfig, "sweep preflight rejected ",
         bad_jobs, " of ", grid.size(),
         " jobs before any worker started (aurora_lint explain <ID> "
-        "describes each diagnostic; AURORA_PREFLIGHT=0 disables the "
-        "check):", lines);
+        "describes each diagnostic):", lines);
 }
 
 void
@@ -296,7 +301,7 @@ backoffDelayMs(std::uint64_t base_ms, unsigned attempt)
 }
 
 /**
- * The attempt loop: cancel check, backoff, isolated attempt, timeline
+ * The attempt loop: cancel check, backoff, isolated attempt, attempt
  * span, retry unless the attempt succeeded or timed out. Every
  * failure is captured into the outcome — the loop never throws.
  */
@@ -305,7 +310,7 @@ runAttempts(const std::function<core::RunResult()> &attempt_fn,
             std::size_t job, const JobPolicy &policy)
 {
     SweepOutcome out;
-    SweepTimeline *timeline = policy.timeline;
+    obs::SpanLog *span_log = policy.span_log;
     const unsigned max_attempts = policy.retries + 1;
     WallTimer job_timer;
     for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -325,7 +330,7 @@ runAttempts(const std::function<core::RunResult()> &attempt_fn,
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 backoffDelayMs(policy.backoff_ms, attempt)));
         out.attempts = attempt;
-        const double span_start = timeline ? timeline->nowMs() : 0.0;
+        const double span_start = span_log ? span_log->nowUs() : 0.0;
         try {
             out.result = attempt_fn();
             out.ok = true;
@@ -343,27 +348,26 @@ runAttempts(const std::function<core::RunResult()> &attempt_fn,
             out.code = util::SimErrorCode::Internal;
             out.error = "unknown exception";
         }
-        if (timeline) {
-            TimelineSpan span;
-            span.job = job;
-            span.attempt = attempt;
-            span.worker = timeline->workerId();
-            span.start_ms = span_start;
-            span.end_ms = timeline->nowMs();
+        if (span_log) {
+            obs::Span span =
+                obs::attemptSpan(policy.span_context, job, attempt);
+            span.tid = span_log->workerId();
+            span.ts_us = span_start;
+            span.dur_us = span_log->nowUs() - span_start;
             if (out.ok) {
-                span.kind = SpanKind::Ok;
-                span.label = out.result.benchmark.empty()
-                                 ? "job " + std::to_string(job)
-                                 : out.result.benchmark + "@" +
-                                       out.result.model;
+                span.cat = "ok";
+                span.name = out.result.benchmark.empty()
+                                ? "job " + std::to_string(job)
+                                : out.result.benchmark + "@" +
+                                      out.result.model;
             } else {
-                span.kind = out.code == util::SimErrorCode::Timeout
-                                ? SpanKind::TimedOut
-                                : SpanKind::Failed;
-                span.label = "job " + std::to_string(job);
+                span.cat = out.code == util::SimErrorCode::Timeout
+                               ? "timeout"
+                               : "failed";
+                span.name = "job " + std::to_string(job);
                 span.error = out.error;
             }
-            timeline->record(std::move(span));
+            span_log->add(std::move(span));
         }
         if (out.ok)
             break;
@@ -527,15 +531,14 @@ SweepRunner::runOutcomes(const std::vector<SweepJob> &grid)
         for (std::size_t i = 0; i < n; ++i) {
             if (!replayed[i])
                 continue;
-            TimelineSpan span;
-            span.job = i;
-            span.label = grid[i].profile.name + "@" +
-                         grid[i].machine.name;
-            span.attempt = 0;
-            span.worker = options_.timeline->workerId();
-            span.start_ms = span.end_ms = options_.timeline->nowMs();
-            span.kind = SpanKind::Resumed;
-            options_.timeline->record(std::move(span));
+            obs::Span span = obs::attemptSpan({}, i, /*attempt=*/0);
+            span.name = grid[i].profile.name + "@" +
+                        grid[i].machine.name;
+            span.cat = "resumed";
+            span.tid = options_.timeline->workerId();
+            span.ts_us = options_.timeline->nowUs();
+            span.instant = true;
+            options_.timeline->add(std::move(span));
         }
     if (options_.progress && pending.size() < n)
         inform(detail::concat("sweep: resuming '", options_.journal,
@@ -671,7 +674,7 @@ SweepRunner::jobPolicy() const
         policy.watchdog = *options_.watchdog;
     policy.deadline_ms = deadlineMs();
     policy.cancel = options_.cancel;
-    policy.timeline = options_.timeline;
+    policy.span_log = options_.timeline;
     return policy;
 }
 

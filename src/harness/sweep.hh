@@ -44,14 +44,13 @@
 #include "core/machine_config.hh"
 #include "core/simulator.hh"
 #include "core/watchdog.hh"
+#include "obs/trace.hh"
 #include "trace/workload_profile.hh"
 #include "util/sim_error.hh"
 #include "util/stats.hh"
 
 namespace aurora::harness
 {
-
-class SweepTimeline;
 
 /**
  * One heartbeat of a sweep in flight, delivered through
@@ -211,12 +210,13 @@ struct SweepOptions
     std::size_t progress_every = 0;
 
     /**
-     * When set, every job attempt (and journal replay) is recorded as
-     * a span on this timeline — the input to writeTimelineTrace()'s
-     * Chrome trace-event export. The timeline must outlive the run.
-     * Pure observation: results, seeds, and scheduling are unchanged.
+     * When set, every job attempt is recorded as an untraced
+     * obs::Span in this log (category = outcome, track = dense worker
+     * id) and every journal replay as a "resumed" instant — the input
+     * to obs::writeChromeTrace(). The log must outlive the run. Pure
+     * observation: results, seeds, and scheduling are unchanged.
      */
-    SweepTimeline *timeline = nullptr;
+    obs::SpanLog *timeline = nullptr;
 
     /**
      * Cooperative cancellation for the outcome entry points: checked
@@ -274,12 +274,17 @@ struct JobPolicy
     /** Applied where watchdog.deadline_ms is 0 (0 = unlimited). */
     std::uint64_t deadline_ms = 0;
     const std::atomic<bool> *cancel = nullptr;
-    SweepTimeline *timeline = nullptr;
+    /** When set, every attempt is recorded here as an obs::Span
+     *  (category = outcome: ok|failed|timeout). Observation only. */
+    obs::SpanLog *span_log = nullptr;
+    /** Trace placement of those spans: trace id, process track,
+     *  shard epoch, parent (default: the job's span). */
+    obs::AttemptContext span_context;
 };
 
 /**
  * Run grid job @p grid_index to its outcome: the one attempt loop of
- * every executor (cancel check, backoff, isolated attempt, timeline
+ * every executor (cancel check, backoff, isolated attempt, attempt
  * span; no retry after Timeout). Never throws, logs, or heartbeats.
  */
 SweepOutcome runJob(const SweepJob &job, std::size_t grid_index,
@@ -452,9 +457,12 @@ std::uint64_t jobSeed(const SweepJob &job,
  * raise one BadConfig naming every bad job and its diagnostic IDs.
  * The preflight gate SweepRunner applies before launching workers,
  * exported so other grid admitters (aurora_serve, aurora_swarm)
- * reject with identical semantics.
+ * reject with identical semantics and wording. Before raising, the
+ * first error's catalog ID is stored in @p first_error_id when set
+ * (aurora_serve's Rejected frame carries it).
  */
-void preflightGrid(const std::vector<SweepJob> &grid);
+void preflightGrid(const std::vector<SweepJob> &grid,
+                   std::string *first_error_id = nullptr);
 
 /**
  * Log the analytic model's advice for @p grid under @p watchdog (see

@@ -5,9 +5,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <utility>
 
-#include "harness/sweep_trace.hh"
 #include "obs/ids.hh"
 #include "telemetry/json.hh"
 #include "telemetry/trace_event.hh"
@@ -15,6 +17,16 @@
 
 namespace aurora::obs
 {
+
+std::uint32_t
+SpanLog::workerId()
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return workerIds_
+        .try_emplace(std::this_thread::get_id(),
+                     static_cast<std::uint32_t>(workerIds_.size()))
+        .first->second;
+}
 
 void
 SpanLog::add(Span span)
@@ -42,6 +54,29 @@ SpanLog::size() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     return spans_.size();
+}
+
+std::vector<Span>
+SpanLog::take()
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(spans_, {});
+}
+
+Span
+attemptSpan(const AttemptContext &ctx, std::uint64_t job,
+            std::uint32_t attempt)
+{
+    Span span;
+    span.trace_id = ctx.trace_id;
+    span.span_id = attemptSpanId(ctx.trace_id, job, attempt, ctx.epoch);
+    span.parent_id = ctx.parent_id != 0 ? ctx.parent_id
+                                        : jobSpanId(ctx.trace_id, job);
+    span.pid = ctx.pid;
+    span.job = job;
+    span.has_job = true;
+    span.attempt = attempt;
+    return span;
 }
 
 std::string
@@ -210,41 +245,18 @@ loadSpanFile(const std::string &path)
     return loaded;
 }
 
-std::vector<Span>
-spansFromTimeline(
-    const harness::SweepTimeline &timeline, std::uint64_t trace_id,
-    std::uint32_t pid, std::uint64_t epoch,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-        *job_parents)
+namespace
 {
-    std::vector<Span> out;
-    for (const harness::TimelineSpan &t : timeline.spans()) {
-        Span span;
-        span.trace_id = trace_id;
-        span.span_id =
-            attemptSpanId(trace_id, t.job, t.attempt, epoch);
-        span.parent_id = jobSpanId(trace_id, t.job);
-        if (job_parents)
-            for (const auto &[job, parent] : *job_parents)
-                if (job == t.job) {
-                    span.parent_id = parent;
-                    break;
-                }
-        span.name = t.label;
-        span.cat = "attempt";
-        span.pid = pid;
-        span.tid = t.worker;
-        span.ts_us = t.start_ms * 1e3;
-        span.dur_us = (t.end_ms - t.start_ms) * 1e3;
-        span.instant = t.kind == harness::SpanKind::Resumed;
-        span.has_job = true;
-        span.job = t.job;
-        span.attempt = t.attempt;
-        span.error = t.error;
-        out.push_back(std::move(span));
-    }
-    return out;
+
+/** Attempt spans are categorised by how the attempt ended. */
+bool
+isAttemptSpan(const Span &span)
+{
+    return span.cat == "ok" || span.cat == "failed" ||
+           span.cat == "timeout" || span.cat == "resumed";
 }
+
+} // namespace
 
 void
 writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
@@ -268,14 +280,24 @@ writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
     telemetry::TraceEventLog log;
     for (const ProcessName &proc : processes)
         log.nameProcess(proc.pid, proc.name);
+    std::set<std::pair<std::uint32_t, std::uint32_t>> workers;
+    for (const Span &span : sorted)
+        if (isAttemptSpan(span) &&
+            workers.emplace(span.pid, span.tid).second)
+            log.nameThread(span.pid, span.tid,
+                           "worker " + std::to_string(span.tid));
     for (const Span &span : sorted) {
         std::vector<telemetry::TraceArg> args;
-        args.push_back(telemetry::traceArg(
-            "trace_id", std::string_view(hexId(span.trace_id))));
-        args.push_back(telemetry::traceArg(
-            "span_id", std::string_view(hexId(span.span_id))));
-        args.push_back(telemetry::traceArg(
-            "parent_id", std::string_view(hexId(span.parent_id))));
+        // An untraced span (a standalone sweep) carries no ids, so
+        // its trace stays non-causal for aurora_obs_check.
+        if (span.trace_id != 0) {
+            args.push_back(telemetry::traceArg(
+                "trace_id", std::string_view(hexId(span.trace_id))));
+            args.push_back(telemetry::traceArg(
+                "span_id", std::string_view(hexId(span.span_id))));
+            args.push_back(telemetry::traceArg(
+                "parent_id", std::string_view(hexId(span.parent_id))));
+        }
         if (span.has_job)
             args.push_back(telemetry::traceArg("job", span.job));
         if (span.attempt != 0)

@@ -3,8 +3,10 @@
  * Causal spans: the cross-process half of the tracing plane.
  *
  * A Span is one parented interval (or instant) of a grid's life —
- * admission, queue wait, dispatch, a shard attempt, a lease epoch,
- * the merge. Every process collects its spans locally (SpanLog in
+ * admission, queue wait, dispatch, a job attempt, a lease epoch,
+ * the merge. harness::runJob records every job attempt straight into
+ * a SpanLog, in any executor (standalone sweep, serve worker pool,
+ * shard). Every process collects its spans locally (SpanLog in
  * memory, SpanFileWriter as crash-durable NDJSON `aurora.spans.v1`
  * lines) and the grid's owner folds them into one Chrome trace with
  * writeChromeTrace(). Parentage is by derived ids (obs/ids.hh), so
@@ -25,16 +27,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <iosfwd>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <thread>
 #include <vector>
 
-namespace aurora::harness
-{
-class SweepTimeline;
-}
+#include "util/stats.hh"
 
 namespace aurora::obs
 {
@@ -48,8 +48,10 @@ struct Span
     std::uint64_t parent_id = 0;
     /** Display name ("grid", "lease e3", "espresso@baseline", ...). */
     std::string name;
-    /** Stable category: admission|queue|dispatch|attempt|lease|
-     *  migrate|merge|grid|... (doubles as the Chrome trace cat). */
+    /** Stable category (doubles as the Chrome trace cat): grid|
+     *  admission|job|swarm|lease|dispatch|merge|... An attempt span's
+     *  category is how the attempt ended: ok|failed|timeout|resumed
+     *  (a journal replay). */
     std::string cat;
     /** Trace-view process track (0 = serve, 1 = swarm, 100+e = shard
      *  epoch e). */
@@ -57,7 +59,7 @@ struct Span
     /** Thread track within the process. */
     std::uint32_t tid = 0;
     /** Microseconds on the recording process's steady clock
-     *  (1 wall ms = 1000 trace µs, as writeTimelineTrace). */
+     *  (1 wall ms = 1000 trace µs). */
     double ts_us = 0.0;
     double dur_us = 0.0;
     /** Zero-length marker event (journal replay, migration, ...). */
@@ -71,10 +73,22 @@ struct Span
     std::string error;
 };
 
-/** Thread-safe in-memory span collector. */
+/**
+ * Thread-safe in-memory span collector. One log may span several
+ * grids on one clock (the fault-storm bench records healthy, flaky
+ * and resumed sweeps into a single trace).
+ */
 class SpanLog
 {
   public:
+    /** Microseconds since construction (the log's steady-clock
+     *  epoch, the time base of the spans recorded into it). */
+    double nowUs() const { return epoch_.seconds() * 1e6; }
+
+    /** Dense id of the calling thread (its first call assigns the
+     *  next one): the trace-view track of its attempt spans. */
+    std::uint32_t workerId();
+
     void add(Span span);
 
     /** Append a whole batch (shard span-file fold-in). */
@@ -83,10 +97,45 @@ class SpanLog
     std::vector<Span> spans() const;
     std::size_t size() const;
 
+    /** Move every span out, leaving the log empty (the shard drains
+     *  each job's attempts to its span file). */
+    std::vector<Span> take();
+
   private:
     mutable std::mutex mutex_;
+    WallTimer epoch_;
+    std::map<std::thread::id, std::uint32_t> workerIds_;
     std::vector<Span> spans_;
 };
+
+/**
+ * Where one job's attempt spans sit in a trace, supplied by whoever
+ * runs the attempt loop: the worker pool leaves the parent to the
+ * job's span, a shard names the coordinator's dispatch span.
+ */
+struct AttemptContext
+{
+    /** Grid trace id; 0 = untraced (the Chrome trace then carries no
+     *  id args for these spans). */
+    std::uint64_t trace_id = 0;
+    /** Trace-view process track (0 = serve or a standalone sweep,
+     *  100+e = shard epoch e). */
+    std::uint32_t pid = 0;
+    /** Shard lease epoch qualifying the attempt ids (0 = worker
+     *  pool). */
+    std::uint64_t epoch = 0;
+    /** Parent span id; 0 = the job's span, jobSpanId(trace_id, job). */
+    std::uint64_t parent_id = 0;
+};
+
+/**
+ * The attempt-identity rule: attempt @p attempt (0 = journal replay)
+ * of job @p job is attemptSpanId(trace, job, attempt, epoch), parented
+ * per @p ctx on @p ctx's process track. The caller fills name, cat,
+ * tid, timing and error.
+ */
+Span attemptSpan(const AttemptContext &ctx, std::uint64_t job,
+                 std::uint32_t attempt);
 
 /** One `aurora.spans.v1` NDJSON line (no trailing newline). */
 std::string spanJsonLine(const Span &span);
@@ -134,19 +183,6 @@ struct LoadedSpans
  */
 LoadedSpans loadSpanFile(const std::string &path);
 
-/**
- * Convert a SweepTimeline's attempt records to parented spans:
- * attempt k of job j becomes attemptSpanId(trace, j, k, epoch) with
- * parent @p parent_of (j) — jobSpanId for the worker-pool path, the
- * dispatch span for a shard. Resumed replays become instants. Span
- * tids keep the timeline's dense worker ids.
- */
-std::vector<Span> spansFromTimeline(
-    const harness::SweepTimeline &timeline, std::uint64_t trace_id,
-    std::uint32_t pid, std::uint64_t epoch,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-        *job_parents = nullptr);
-
 /** (pid, display name) pair for the trace's process directory. */
 struct ProcessName
 {
@@ -155,11 +191,13 @@ struct ProcessName
 };
 
 /**
- * Render spans as one Chrome trace-event document. Spans are sorted
- * by (pid, tid, ts, span id) so every track is time-monotone; each
- * event carries trace_id/span_id/parent_id as 0x-hex string args
- * (u64 ids do not survive JSON doubles) plus job/attempt/error when
- * set.
+ * Render spans as one Chrome trace-event document — the one span
+ * writer. Spans are sorted by (pid, tid, ts, span id) so every track
+ * is time-monotone; each traced event carries trace_id/span_id/
+ * parent_id as 0x-hex string args (u64 ids do not survive JSON
+ * doubles), an untraced one (trace id 0) none, plus job/attempt/error
+ * when set. Every track that carries attempt spans is named
+ * "worker <tid>".
  */
 void writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
                       const std::vector<ProcessName> &processes);

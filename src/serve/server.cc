@@ -12,12 +12,10 @@
 #include <sstream>
 #include <utility>
 
-#include "analyze/lint_config.hh"
 #include "core/config_io.hh"
 #include "core/simulator.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
-#include "harness/sweep_trace.hh"
 #include "obs/ids.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -214,7 +212,7 @@ struct Server::Grid
     std::string label;
     std::vector<harness::SweepJob> jobs;
     /** The submitted seed/retry/deadline/backoff policy every job of
-     *  the grid runs under (cancel flag and timeline wired in). */
+     *  the grid runs under (cancel flag and span log wired in). */
     harness::JobPolicy policy;
     bool cancel_on_disconnect = false;
 
@@ -247,17 +245,16 @@ struct Server::Grid
     /** Causal trace id: client-supplied or minted from the
      *  fingerprint, so a restarted daemon re-mints identically. */
     std::uint64_t trace_id = 0;
-    /** Worker-path attempt spans (internally locked; observation
-     *  only — never feeds back into outcomes). */
-    harness::SweepTimeline timeline;
-    /** Service + fabric spans (admission, swarm supervision, folded
-     *  shard attempts); drained into the Chrome trace at completion. */
+    /** Every span of the grid — admission, worker-pool attempts,
+     *  swarm supervision, folded shard attempts (internally locked;
+     *  observation only, never feeds back into outcomes); drained
+     *  into the Chrome trace at completion. */
     obs::SpanLog span_log;
 
     Grid()
     {
         policy.cancel = &cancelled;
-        policy.timeline = &timeline;
+        policy.span_log = &span_log;
     }
 
     bool complete() const { return done == jobs.size(); }
@@ -430,7 +427,7 @@ Server::loadSpool()
         // restarted daemon re-mints the same id and the spans it emits
         // land in the same trace as the first life's.
         grid->trace_id = obs::traceIdForGrid(grid->fingerprint);
-        grid->timeline.setTrace(grid->trace_id);
+        grid->policy.span_context.trace_id = grid->trace_id;
 
         const std::uint64_t fp = harness::gridFingerprint(
             grid->jobs, grid->policy.base_seed);
@@ -1018,24 +1015,14 @@ Server::handleSubmit(Session &session, const std::string &payload)
         }
     }
 
-    // PR-4 static preflight: a structurally wedged or invalid machine
-    // is refused before it can burn a worker's watchdog budget.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::vector<analyze::Diagnostic> diags =
-            analyze::lintConfig(jobs[i].machine);
-        if (!analyze::hasErrors(diags))
-            continue;
-        std::string first_id;
-        for (const analyze::Diagnostic &d : diags)
-            if (d.severity == analyze::Severity::Error) {
-                first_id = d.id;
-                break;
-            }
-        reject(session, first_id, util::SimErrorCode::BadConfig,
-               detail::concat("job ", i, " (",
-                              jobs[i].machine.name,
-                              ") failed preflight:\n",
-                              analyze::formatDiagnostics(diags)));
+    // Static preflight: a structurally wedged or invalid machine is
+    // refused before it can burn a worker's watchdog budget — the
+    // same gate, and wording, as a standalone sweep.
+    std::string first_id;
+    try {
+        harness::preflightGrid(jobs, &first_id);
+    } catch (const util::SimError &e) {
+        reject(session, first_id, e.code(), e.message());
         return;
     }
 
@@ -1061,7 +1048,7 @@ Server::handleSubmit(Session &session, const std::string &payload)
     // format predates tracing and stays byte-stable.)
     grid->trace_id = msg.trace_id != 0 ? msg.trace_id
                                        : obs::traceIdForGrid(fp);
-    grid->timeline.setTrace(grid->trace_id);
+    grid->policy.span_context.trace_id = grid->trace_id;
 
     // Durability point: manifest first (flushed), then the journal
     // header. Only after both exist is the client told Accepted —
@@ -1344,11 +1331,11 @@ Server::streamOutcome(Grid &grid, std::size_t index)
 }
 
 /**
- * Fold the grid's spans — the serve-side root + admission, the
- * worker-pool timeline, and everything the swarm and its shards
- * contributed via the span log — into one Chrome trace next to the
- * grid's spool pair. Diagnostics must never fail the grid, so every
- * failure path warns and returns. mutex_ held.
+ * Fold the grid's span log — admission, worker-pool attempts, and
+ * everything the swarm and its shards contributed — plus the grid
+ * root and one span per worker-pool job into one Chrome trace next
+ * to the grid's spool pair. Diagnostics must never fail the grid, so
+ * every failure path warns and returns. mutex_ held.
  */
 void
 Server::writeGridTrace(Grid &grid)
@@ -1370,51 +1357,31 @@ Server::writeGridTrace(Grid &grid)
     root.dur_us = grid.timer.seconds() * 1e6;
     spans.push_back(std::move(root));
 
-    // Worker-pool path: one "job" span per job spanning its attempts
-    // (the attempts' derived parent), then the attempts themselves.
-    struct JobExtent
-    {
-        double start_us = 0.0;
-        double end_us = 0.0;
-        std::uint32_t tid = 0;
-        std::string label;
-    };
-    std::map<std::uint64_t, JobExtent> extents;
-    for (const harness::TimelineSpan &t : grid.timeline.spans()) {
-        const auto [it, fresh] = extents.try_emplace(t.job);
-        JobExtent &ext = it->second;
+    // Worker-pool path: one "job" span per job, spanning the attempts
+    // parented to it (shard attempts parent to dispatch spans).
+    const std::vector<obs::Span> logged = grid.span_log.spans();
+    std::map<std::uint64_t, obs::Span> jobs;
+    for (const obs::Span &a : logged) {
+        const std::uint64_t job_span = obs::jobSpanId(trace, a.job);
+        if (!a.has_job || a.parent_id != job_span)
+            continue;
+        const auto [it, fresh] = jobs.try_emplace(a.job, a);
+        obs::Span &js = it->second;
         if (fresh) {
-            ext.start_us = t.start_ms * 1000.0;
-            ext.end_us = t.end_ms * 1000.0;
-            ext.tid = t.worker;
-            ext.label = t.label;
+            js.span_id = job_span;
+            js.parent_id = obs::rootSpanId(trace);
+            js.cat = "job";
+            js.attempt = 0;
+            js.error.clear();
         } else {
-            ext.start_us = std::min(ext.start_us, t.start_ms * 1000.0);
-            ext.end_us = std::max(ext.end_us, t.end_ms * 1000.0);
+            const double end_us =
+                std::max(js.ts_us + js.dur_us, a.ts_us + a.dur_us);
+            js.ts_us = std::min(js.ts_us, a.ts_us);
+            js.dur_us = end_us - js.ts_us;
         }
     }
-    for (const auto &[job, ext] : extents) {
-        obs::Span js;
-        js.trace_id = trace;
-        js.span_id = obs::jobSpanId(trace, job);
-        js.parent_id = obs::rootSpanId(trace);
-        js.name = ext.label;
-        js.cat = "job";
-        js.pid = 0;
-        js.tid = ext.tid;
-        js.ts_us = ext.start_us;
-        js.dur_us = ext.end_us - ext.start_us;
-        js.job = job;
-        js.has_job = true;
+    for (auto &[job, js] : jobs)
         spans.push_back(std::move(js));
-    }
-    const std::vector<obs::Span> attempts = obs::spansFromTimeline(
-        grid.timeline, trace, /*pid=*/0, /*epoch=*/0);
-    spans.insert(spans.end(), attempts.begin(), attempts.end());
-
-    // Service + fabric spans (admission; on the shard backend the
-    // swarm/lease/dispatch/merge spans and folded shard attempts).
-    const std::vector<obs::Span> logged = grid.span_log.spans();
     spans.insert(spans.end(), logged.begin(), logged.end());
 
     std::vector<obs::ProcessName> processes;

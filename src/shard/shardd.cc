@@ -13,7 +13,6 @@
 #include "core/config_io.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
-#include "harness/sweep_trace.hh"
 #include "obs/flight.hh"
 #include "obs/ids.hh"
 #include "obs/trace.hh"
@@ -58,11 +57,11 @@ buildJob(const wire::JobSpec &spec)
  * Execute one assigned job through the harness attempt loop with the
  * grid's policy, so the journal record is bit-identical to what a
  * serial SweepRunner run of the same grid writes for this index.
- * The timeline only observes attempts; it never steers them.
+ * The span log only observes attempts; it never steers them.
  */
 harness::JournalRecord
-runAssignedJob(const wire::JobSpec &spec,
-               harness::SweepTimeline *timeline = nullptr)
+runAssignedJob(const wire::JobSpec &spec, obs::SpanLog *span_log,
+               const obs::AttemptContext &span_context)
 {
     const harness::SweepJob job = buildJob(spec);
     const auto index = static_cast<std::size_t>(spec.job_index);
@@ -72,7 +71,8 @@ runAssignedJob(const wire::JobSpec &spec,
     policy.retries = spec.retries;
     policy.deadline_ms = spec.deadline_ms;
     policy.backoff_ms = spec.backoff_ms;
-    policy.timeline = timeline;
+    policy.span_log = span_log;
+    policy.span_context = span_context;
     return harness::jobRecord(index, job, policy.base_seed,
                               harness::runJob(job, index, policy));
 }
@@ -155,6 +155,7 @@ runShardWorker(const ShardWorkerConfig &config)
     // coordinator-side postmortem reader.
     obs::FlightRecorder flight;
     std::unique_ptr<obs::SpanFileWriter> spans;
+    obs::SpanLog span_log; // this incarnation's clock and worker ids
     if (!config.flight_dir.empty()) {
         try {
             std::filesystem::create_directories(config.flight_dir);
@@ -207,27 +208,22 @@ runShardWorker(const ShardWorkerConfig &config)
     const auto runFrontJob = [&] {
         const wire::JobSpec spec = queue.front();
         queue.pop_front();
-        harness::SweepTimeline timeline;
-        timeline.setTrace(trace_id);
         const bool tracing = spans != nullptr && trace_id != 0;
-        const harness::JournalRecord rec =
-            runAssignedJob(spec, tracing ? &timeline : nullptr);
+        // Attempt spans parent to the coordinator's dispatch span for
+        // this ticket — both sides derive the same id from (trace,
+        // ticket, epoch), so no ids cross the wire.
+        obs::AttemptContext context;
+        context.trace_id = trace_id;
+        context.pid = static_cast<std::uint32_t>(100 + welcome.epoch);
+        context.epoch = welcome.epoch;
+        context.parent_id =
+            obs::dispatchSpanId(trace_id, spec.ticket, welcome.epoch);
+        const harness::JournalRecord rec = runAssignedJob(
+            spec, tracing ? &span_log : nullptr, context);
         const std::string bytes = harness::encodeJournalRecord(rec);
         journal->append({welcome.epoch, spec.ticket, bytes});
-        if (tracing) {
-            // Attempt spans parent to the coordinator's dispatch span
-            // for this ticket — both sides derive the same id from
-            // (trace, ticket, epoch), so no ids cross the wire.
-            const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-                parents = {{spec.job_index,
-                            obs::dispatchSpanId(trace_id, spec.ticket,
-                                                welcome.epoch)}};
-            for (const obs::Span &span : obs::spansFromTimeline(
-                     timeline, trace_id,
-                     static_cast<std::uint32_t>(100 + welcome.epoch),
-                     welcome.epoch, &parents))
-                spans->append(span);
-        }
+        for (const obs::Span &span : span_log.take()) // empty untraced
+            spans->append(span);
         wire::sendFrame(fd.get(),
                         wire::encode(wire::ResultMsg{
                             welcome.slot, welcome.epoch, spec.ticket,

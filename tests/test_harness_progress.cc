@@ -3,22 +3,24 @@
  * Sweep progress telemetry tests: the on_progress heartbeat fires on
  * a deterministic job-count cadence with consistent counters at any
  * worker count, classifies ok/failed/timed-out/retried jobs, and the
- * sweep timeline records one span per attempt and renders as a valid
- * trace-event document.
+ * sweep's span log records one obs::Span per attempt (category = its
+ * outcome) and renders as a valid, untraced trace-event document.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <vector>
 
 #include "core/simulator.hh"
 #include "harness/sweep.hh"
-#include "harness/sweep_trace.hh"
+#include "obs/trace.hh"
 #include "telemetry/json.hh"
 #include "trace/spec_profiles.hh"
 
@@ -201,7 +203,7 @@ TEST(Timeline, RecordsOneSpanPerAttemptWithDenseWorkerIds)
         return simulate(baselineModel(), trace::li(), N);
     });
 
-    SweepTimeline timeline;
+    obs::SpanLog timeline;
     SweepOptions opts;
     opts.workers = 2;
     opts.retries = 1;
@@ -213,10 +215,11 @@ TEST(Timeline, RecordsOneSpanPerAttemptWithDenseWorkerIds)
     const auto spans = timeline.spans();
     ASSERT_EQ(spans.size(), 5u);
     std::size_t failed = 0, second_attempts = 0;
-    for (const TimelineSpan &span : spans) {
-        EXPECT_LE(span.start_ms, span.end_ms);
-        EXPECT_LT(span.worker, 2u);
-        if (span.kind == SpanKind::Failed) {
+    for (const obs::Span &span : spans) {
+        EXPECT_GE(span.dur_us, 0.0);
+        EXPECT_LT(span.tid, 2u);
+        EXPECT_EQ(span.trace_id, 0u); // a standalone sweep is untraced
+        if (span.cat == "failed") {
             ++failed;
             EXPECT_FALSE(span.error.empty());
         }
@@ -228,7 +231,7 @@ TEST(Timeline, RecordsOneSpanPerAttemptWithDenseWorkerIds)
 
 TEST(Timeline, RendersAsValidTraceEventDocument)
 {
-    SweepTimeline timeline;
+    obs::SpanLog timeline;
     SweepOptions opts;
     opts.workers = 2;
     opts.timeline = &timeline;
@@ -236,23 +239,35 @@ TEST(Timeline, RendersAsValidTraceEventDocument)
     runner.runTaskOutcomes(healthyTasks(4));
 
     std::ostringstream os;
-    writeTimelineTrace(os, timeline, "progress test sweep");
+    obs::writeChromeTrace(os, timeline.spans(),
+                          {{0, "progress test sweep"}});
     std::string error;
     const auto doc = telemetry::parseJson(os.str(), &error);
     ASSERT_TRUE(doc) << error;
     const auto *events = doc->find("traceEvents");
     ASSERT_TRUE(events && events->isArray());
 
-    // Spans are sorted per worker track with non-decreasing starts.
+    // Spans are sorted per worker track with non-decreasing starts;
+    // each track that ran an attempt is named "worker <tid>".
     double last_ts = -1.0;
     double last_tid = -1.0;
     std::size_t spans = 0;
+    std::set<double> tids, named_workers;
     for (const auto &e : events->array) {
-        if (e.find("ph")->string == "M")
+        if (e.find("ph")->string == "M") {
+            if (e.find("name")->string == "thread_name") {
+                const double tid = e.find("tid")->number;
+                EXPECT_EQ(e.find("args")->find("name")->string,
+                          "worker " + std::to_string(
+                                          static_cast<int>(tid)));
+                named_workers.insert(tid);
+            }
             continue;
+        }
         ASSERT_EQ(e.find("ph")->string, "X");
         ++spans;
         const double tid = e.find("tid")->number;
+        tids.insert(tid);
         const double ts = e.find("ts")->number;
         if (tid == last_tid) {
             EXPECT_GE(ts, last_ts);
@@ -261,16 +276,58 @@ TEST(Timeline, RendersAsValidTraceEventDocument)
         last_ts = ts;
         EXPECT_GE(e.find("dur")->number, 0.0);
         EXPECT_EQ(e.find("cat")->string, "ok");
+        // Untraced: no causal ids, so aurora_obs_check treats the
+        // document as a plain (non-causal) trace.
+        const auto *args = e.find("args");
+        ASSERT_TRUE(args);
+        EXPECT_FALSE(args->find("trace_id"));
+        EXPECT_FALSE(args->find("span_id"));
+        EXPECT_FALSE(args->find("parent_id"));
     }
     EXPECT_EQ(spans, 4u);
+    EXPECT_EQ(named_workers, tids);
 }
 
-TEST(Progress, SpanKindNamesAreStable)
+TEST(Timeline, AttemptCategoriesAreOutcomes)
 {
-    EXPECT_EQ(spanKindName(SpanKind::Ok), "ok");
-    EXPECT_EQ(spanKindName(SpanKind::Failed), "failed");
-    EXPECT_EQ(spanKindName(SpanKind::TimedOut), "timeout");
-    EXPECT_EQ(spanKindName(SpanKind::Resumed), "resumed");
+    // ok, failed (any non-timeout error) and timeout attempts...
+    std::vector<std::function<RunResult()>> tasks = healthyTasks(1);
+    tasks.push_back([]() -> RunResult {
+        util::raiseError(util::SimErrorCode::Internal, "broken");
+    });
+    tasks.push_back([]() -> RunResult {
+        util::raiseError(util::SimErrorCode::Timeout, "deadline");
+    });
+    obs::SpanLog timeline;
+    SweepOptions opts;
+    opts.workers = 1;
+    opts.timeline = &timeline;
+    SweepRunner(opts).runTaskOutcomes(tasks);
+
+    // ...and journal replays, which are "resumed" instants.
+    const std::string journal =
+        ::testing::TempDir() + "/progress_categories.ajrn";
+    std::remove(journal.c_str());
+    const std::vector<SweepJob> grid = {
+        {baselineModel(), trace::espresso(), N}};
+    SweepOptions jopts;
+    jopts.workers = 1;
+    jopts.journal = journal;
+    SweepRunner(jopts).runOutcomes(grid);
+    jopts.resume = true;
+    jopts.timeline = &timeline;
+    SweepRunner(jopts).runOutcomes(grid);
+    std::remove(journal.c_str());
+
+    const auto spans = timeline.spans();
+    ASSERT_EQ(spans.size(), 4u);
+    EXPECT_EQ(spans[0].cat, "ok");
+    EXPECT_EQ(spans[1].cat, "failed");
+    EXPECT_EQ(spans[2].cat, "timeout");
+    EXPECT_EQ(spans[3].cat, "resumed");
+    EXPECT_TRUE(spans[3].instant);
+    EXPECT_EQ(spans[3].attempt, 0u);
+    EXPECT_EQ(spans[3].name, "espresso@baseline");
 }
 
 } // namespace

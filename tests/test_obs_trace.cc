@@ -2,9 +2,10 @@
  * @file
  * Causal-span tests: id-derivation invariants (nonzero, domain
  * separation, cross-process agreement), the span file's torn-tail /
- * corruption-offset contract, timeline→span conversion with both
- * parent schemes (worker-pool job parents, shard dispatch parents),
- * and Chrome-trace rendering with hex id args.
+ * corruption-offset contract, attempt spans recorded by
+ * harness::runJob under both parent schemes (worker-pool job
+ * parents, shard dispatch parents), and Chrome-trace rendering with
+ * hex id args.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +16,11 @@
 #include <sstream>
 #include <string>
 
-#include "harness/sweep_trace.hh"
+#include "core/machine_config.hh"
+#include "harness/sweep.hh"
 #include "obs/ids.hh"
 #include "obs/trace.hh"
+#include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
 
 namespace
@@ -155,78 +158,96 @@ TEST(SpanFile, MissingFileRaises)
                  SimError);
 }
 
+/**
+ * Run a healthy job (grid index 0) and an invalid one (index 1, zero
+ * ROB entries, failing both of its attempts) through runJob under
+ * @p context, recording into @p log.
+ */
 void
-fillTimeline(harness::SweepTimeline &timeline, std::uint64_t trace)
+runTracedJobs(obs::SpanLog &log, const obs::AttemptContext &context)
 {
-    timeline.setTrace(trace);
-    harness::TimelineSpan a;
-    a.job = 0;
-    a.label = "espresso@small";
-    a.attempt = 1;
-    a.start_ms = 1.0;
-    a.end_ms = 2.5;
-    timeline.record(a);
-    harness::TimelineSpan b;
-    b.job = 1;
-    b.label = "li@small";
-    b.attempt = 2;
-    b.start_ms = 2.0;
-    b.end_ms = 4.0;
-    b.kind = harness::SpanKind::Failed;
-    b.error = "boom";
-    timeline.record(b);
-    harness::TimelineSpan c;
-    c.job = 2;
-    c.label = "replayed";
-    c.attempt = 0;
-    c.kind = harness::SpanKind::Resumed;
-    timeline.record(c);
+    harness::SweepJob good{core::smallModel(), trace::espresso(), 2000};
+    harness::SweepJob bad = good;
+    bad.machine.rob_entries = 0;
+    harness::JobPolicy policy;
+    policy.retries = 1;
+    policy.span_log = &log;
+    policy.span_context = context;
+    EXPECT_TRUE(harness::runJob(good, 0, policy).ok);
+    EXPECT_FALSE(harness::runJob(bad, 1, policy).ok);
 }
 
-TEST(SpansFromTimeline, WorkerPoolAttemptsParentToJobSpans)
+TEST(AttemptSpans, WorkerPoolAttemptsParentToJobSpans)
 {
     const std::uint64_t trace = obs::traceIdForGrid(99);
-    harness::SweepTimeline timeline;
-    fillTimeline(timeline, trace);
-    const auto spans =
-        obs::spansFromTimeline(timeline, trace, /*pid=*/0,
-                               /*epoch=*/0);
-    ASSERT_EQ(spans.size(), 3u);
+    obs::SpanLog log;
+    obs::AttemptContext context;
+    context.trace_id = trace;
+    runTracedJobs(log, context);
+    const auto spans = log.spans();
+    ASSERT_EQ(spans.size(), 3u); // 1 ok + 2 failed attempts
     EXPECT_EQ(spans[0].span_id, obs::attemptSpanId(trace, 0, 1));
     EXPECT_EQ(spans[0].parent_id, obs::jobSpanId(trace, 0));
-    EXPECT_EQ(spans[1].parent_id, obs::jobSpanId(trace, 1));
-    EXPECT_EQ(spans[1].error, "boom");
-    EXPECT_TRUE(spans[2].instant); // resumed replay = instant
-    // 1 wall ms = 1000 trace µs.
-    EXPECT_DOUBLE_EQ(spans[0].ts_us, 1000.0);
-    EXPECT_DOUBLE_EQ(spans[0].dur_us, 1500.0);
+    EXPECT_EQ(spans[0].cat, "ok");
+    EXPECT_EQ(spans[0].name, "espresso@small");
+    for (std::size_t k = 1; k < 3; ++k) {
+        EXPECT_EQ(spans[k].span_id,
+                  obs::attemptSpanId(trace, 1, static_cast<unsigned>(k)));
+        EXPECT_EQ(spans[k].parent_id, obs::jobSpanId(trace, 1));
+        EXPECT_EQ(spans[k].cat, "failed");
+        EXPECT_FALSE(spans[k].error.empty());
+    }
+    for (const obs::Span &span : spans) {
+        EXPECT_EQ(span.trace_id, trace);
+        EXPECT_EQ(span.pid, 0u);
+        EXPECT_TRUE(span.has_job);
+        EXPECT_FALSE(span.instant);
+        // Microseconds on the log's clock: a 2000-instruction run
+        // takes well under a minute.
+        EXPECT_GE(span.ts_us, 0.0);
+        EXPECT_GE(span.dur_us, 0.0);
+        EXPECT_LT(span.ts_us + span.dur_us, 60e6);
+    }
 }
 
-TEST(SpansFromTimeline, ShardAttemptsParentToDispatchSpans)
+TEST(AttemptSpans, ShardAttemptsParentToDispatchSpans)
 {
     const std::uint64_t trace = obs::traceIdForGrid(99);
     const std::uint64_t epoch = 2;
-    harness::SweepTimeline timeline;
-    fillTimeline(timeline, trace);
-    // The shard path: the coordinator's dispatch spans are the
-    // parents, keyed by job index.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> parents = {
-        {0, obs::dispatchSpanId(trace, 10, epoch)},
-        {1, obs::dispatchSpanId(trace, 11, epoch)},
-        {2, obs::dispatchSpanId(trace, 12, epoch)},
-    };
-    const auto spans = obs::spansFromTimeline(timeline, trace,
-                                              /*pid=*/102, epoch,
-                                              &parents);
+    obs::SpanLog log;
+    // The shard path: the coordinator's dispatch span is the parent.
+    obs::AttemptContext context;
+    context.trace_id = trace;
+    context.pid = 102;
+    context.epoch = epoch;
+    context.parent_id = obs::dispatchSpanId(trace, 10, epoch);
+    runTracedJobs(log, context);
+    const auto spans = log.spans();
     ASSERT_EQ(spans.size(), 3u);
-    EXPECT_EQ(spans[0].parent_id,
-              obs::dispatchSpanId(trace, 10, epoch));
+    for (const obs::Span &span : spans) {
+        EXPECT_EQ(span.parent_id, obs::dispatchSpanId(trace, 10, epoch));
+        EXPECT_EQ(span.pid, 102u);
+    }
     // Epoch-qualified attempt ids: the same job+attempt on another
     // incarnation is a distinct span.
     EXPECT_EQ(spans[0].span_id,
               obs::attemptSpanId(trace, 0, 1, epoch));
     EXPECT_NE(spans[0].span_id, obs::attemptSpanId(trace, 0, 1));
-    EXPECT_EQ(spans[0].pid, 102u);
+    EXPECT_EQ(spans[2].span_id,
+              obs::attemptSpanId(trace, 1, 2, epoch));
+}
+
+TEST(AttemptSpans, IdentityRuleDefaultsToTheJobSpan)
+{
+    const std::uint64_t trace = obs::traceIdForGrid(7);
+    obs::AttemptContext context;
+    context.trace_id = trace;
+    const obs::Span replay = obs::attemptSpan(context, 4, 0);
+    EXPECT_EQ(replay.span_id, obs::attemptSpanId(trace, 4, 0));
+    EXPECT_EQ(replay.parent_id, obs::jobSpanId(trace, 4));
+    EXPECT_TRUE(replay.has_job);
+    EXPECT_EQ(replay.job, 4u);
+    EXPECT_EQ(replay.attempt, 0u);
 }
 
 TEST(ChromeTrace, RendersHexIdArgsAndProcessNames)
@@ -266,6 +287,9 @@ TEST(SpanLog, CollectsConcurrentlyAndSnapshots)
     const auto spans = log.spans();
     ASSERT_EQ(spans.size(), 3u);
     EXPECT_EQ(spans[2].span_id, obs::jobSpanId(trace, 2));
+    // take() drains: the shard forwards each job's attempts once.
+    EXPECT_EQ(log.take().size(), 3u);
+    EXPECT_EQ(log.size(), 0u);
 }
 
 } // namespace

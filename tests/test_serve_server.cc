@@ -18,8 +18,11 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -31,6 +34,7 @@
 #include "harness/sweep.hh"
 #include "serve/server.hh"
 #include "serve/wire.hh"
+#include "telemetry/json.hh"
 #include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
 #include "util/socket.hh"
@@ -335,6 +339,22 @@ TEST(ServeServer, PreflightRejectionCarriesLintIdSessionSurvives)
     EXPECT_EQ(rejected.id, "AUR010");
     EXPECT_EQ(rejected.code, util::SimErrorCode::BadConfig);
 
+    // Admission runs the standalone sweep's preflight, so a rejection
+    // reads word for word the same — and names no switch (such as
+    // AURORA_PREFLIGHT) that the daemon does not read.
+    const std::vector<harness::SweepJob> standalone = {
+        {core::parseMachineSpec(bad.jobs[0].machine_spec),
+         trace::profileByName("espresso"), 2000}};
+    try {
+        harness::preflightGrid(standalone);
+        FAIL() << "standalone preflight accepted fp_buses=0";
+    } catch (const util::SimError &e) {
+        EXPECT_EQ(rejected.message, e.message());
+    }
+    EXPECT_NE(rejected.message.find("AUR010"), std::string::npos);
+    EXPECT_EQ(rejected.message.find("AURORA_PREFLIGHT"),
+              std::string::npos);
+
     // A rejection is not fatal to the session: a clean submission on
     // the same connection still completes.
     client.send(wire::encode(smallSubmit({"espresso"}, 2000, 3)));
@@ -344,6 +364,51 @@ TEST(ServeServer, PreflightRejectionCarriesLintIdSessionSurvives)
     const auto accepted = wire::decodeAccepted(*reply);
     const GridStream stream = streamToDone(client, accepted.fingerprint);
     EXPECT_EQ(stream.done.ok, 1u);
+}
+
+TEST(ServeServer, WorkerPoolGridTraceClosesItsParentage)
+{
+    auto config = baseConfig("serve_trace");
+    const std::string spool = config.spool_dir;
+    TestDaemon daemon(std::move(config));
+    Client client(daemon.server().socketPath(), "alice");
+    client.send(wire::encode(
+        smallSubmit({"espresso", "li", "eqntott"}, 2000, 5)));
+    const auto accepted = wire::decodeAccepted(mustRecv(client));
+    const GridStream stream = streamToDone(client, accepted.fingerprint);
+    EXPECT_EQ(stream.done.ok, 3u);
+
+    // The grid trace lands next to the spool pair before GridDone.
+    char name[32];
+    std::snprintf(name, sizeof(name), "/%016llx.trace.json",
+                  static_cast<unsigned long long>(accepted.fingerprint));
+    std::ifstream in(spool + name);
+    ASSERT_TRUE(in) << spool + name;
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string error;
+    const auto doc = telemetry::parseJson(text.str(), &error);
+    ASSERT_TRUE(doc) << error;
+    const auto *events = doc->find("traceEvents");
+    ASSERT_TRUE(events && events->isArray());
+
+    // Every parent_id names a span in the file (the root's parent is
+    // the zero sentinel); attempts are categorised by outcome.
+    std::set<std::string> ids, parents;
+    std::size_t attempts = 0;
+    for (const auto &e : events->array) {
+        const auto *args = e.find("args");
+        if (!args || !args->find("span_id"))
+            continue;
+        ids.insert(args->find("span_id")->string);
+        parents.insert(args->find("parent_id")->string);
+        attempts += e.find("cat")->string == "ok";
+    }
+    EXPECT_EQ(attempts, 3u);
+    parents.erase("0x0000000000000000");
+    ASSERT_FALSE(parents.empty());
+    for (const std::string &parent : parents)
+        EXPECT_EQ(ids.count(parent), 1u) << "dangling parent " << parent;
 }
 
 TEST(ServeServer, QuotaRejectionLeavesOtherTenantsUndisturbed)

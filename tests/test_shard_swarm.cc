@@ -44,6 +44,31 @@ testGrid(Count insts = 2000)
     return harness::suiteJobs(machine, trace::integerSuite(), insts);
 }
 
+#if defined(__SANITIZE_THREAD__)
+#define AURORA_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define AURORA_TEST_TSAN 1
+#endif
+#endif
+
+/**
+ * Lease for the grids of LONG_JOB_INSTS-instruction jobs. A shard
+ * deep in one simulation cannot beat, so the lease must exceed the
+ * longest job (shard::wire::BeatMsg). ThreadSanitizer runs such a job
+ * about 20x slower (4-5 s instead of 210-280 ms on a 4-CPU host), so
+ * its builds scale the lease by the same factor: job, lease and grid
+ * keep their native proportions, and the silent shard of
+ * DropHeartbeatsIsFencedWhileResultsFlow is still fenced before it
+ * drains its work. The short-job tests keep the 400 ms base lease.
+ */
+constexpr Count LONG_JOB_INSTS = 600'000;
+#ifdef AURORA_TEST_TSAN
+constexpr std::uint64_t LONG_JOB_LEASE_MS = 400 * 20;
+#else
+constexpr std::uint64_t LONG_JOB_LEASE_MS = 400;
+#endif
+
 shard::SwarmConfig
 baseConfig(const std::string &tag)
 {
@@ -71,12 +96,13 @@ expectAllOk(const std::vector<harness::SweepOutcome> &outcomes,
 TEST(SwarmSupervision, KillShardFencesMigratesAndRecovers)
 {
     shard::SwarmConfig config = baseConfig("kill");
+    config.lease_ms = LONG_JOB_LEASE_MS;
     config.fault_plans = {ShardFaultPlan{ShardFault::KillShard, 1},
                           std::nullopt};
     shard::Swarm swarm(config);
     // Jobs long enough that the backlog outlives the respawn
     // throttle — the replacement worker must actually be needed.
-    const auto grid = testGrid(600'000);
+    const auto grid = testGrid(LONG_JOB_INSTS);
     expectAllOk(swarm.runGrid(grid, {}), grid.size());
 
     const shard::SwarmStats &stats = swarm.stats();
@@ -114,12 +140,13 @@ TEST(SwarmSupervision, DropHeartbeatsIsFencedWhileResultsFlow)
     // beating. Results do NOT renew the lease, so the fence must
     // fire even though traffic is flowing.
     shard::SwarmConfig config = baseConfig("partition");
+    config.lease_ms = LONG_JOB_LEASE_MS;
     config.fault_plans = {
         ShardFaultPlan{ShardFault::DropHeartbeats, 0}, std::nullopt};
     shard::Swarm swarm(config);
     // Jobs long enough that the silent shard cannot drain the whole
     // grid inside one lease — the fence must catch it mid-flight.
-    const auto grid = testGrid(600'000);
+    const auto grid = testGrid(LONG_JOB_INSTS);
     expectAllOk(swarm.runGrid(grid, {}), grid.size());
     EXPECT_GE(swarm.stats().lease_expiries, 1u);
     EXPECT_EQ(swarm.stats().committed, grid.size());

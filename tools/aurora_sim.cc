@@ -64,7 +64,7 @@
 #include "core/report.hh"
 #include "core/simulator.hh"
 #include "harness/sweep.hh"
-#include "harness/sweep_trace.hh"
+#include "obs/trace.hh"
 #include "telemetry/export.hh"
 #include "telemetry/sampler.hh"
 #include "telemetry/trace_event.hh"
@@ -314,7 +314,7 @@ run(int argc, char **argv)
         // Synthetic runs through the sweep engine share its journal:
         // every completed benchmark is flushed to disk, and --resume
         // replays finished ones bit-identically (see docs/harness.md).
-        harness::SweepTimeline timeline;
+        obs::SpanLog timeline;
         harness::SweepOptions sweep_options;
         sweep_options.watchdog = watchdog;
         sweep_options.journal = journal;
@@ -326,7 +326,8 @@ run(int argc, char **argv)
             runner.runOutcomes(harness::suiteJobs(machine, suite, insts));
         if (!request.sweep_trace.empty()) {
             Output out(request.sweep_trace);
-            harness::writeTimelineTrace(out.stream(), timeline);
+            obs::writeChromeTrace(out.stream(), timeline.spans(),
+                                  {{0, "aurora sweep"}});
         }
 
         SuiteResult res;
