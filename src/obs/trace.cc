@@ -260,7 +260,8 @@ isAttemptSpan(const Span &span)
 
 void
 writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
-                 const std::vector<ProcessName> &processes)
+                 const std::vector<ProcessName> &processes,
+                 const std::vector<TrackName> &tracks)
 {
     std::vector<Span> sorted = spans;
     // Trace viewers (and aurora_obs_check) require each (pid, tid)
@@ -286,6 +287,8 @@ writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
             workers.emplace(span.pid, span.tid).second)
             log.nameThread(span.pid, span.tid,
                            "worker " + std::to_string(span.tid));
+    for (const TrackName &track : tracks)
+        log.nameThread(track.pid, track.tid, track.name);
     for (const Span &span : sorted) {
         std::vector<telemetry::TraceArg> args;
         // An untraced span (a standalone sweep) carries no ids, so

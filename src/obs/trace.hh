@@ -190,6 +190,14 @@ struct ProcessName
     std::string name;
 };
 
+/** (pid, tid, display name) of a track that is not a worker's. */
+struct TrackName
+{
+    std::uint32_t pid = 0;
+    std::uint32_t tid = 0;
+    std::string name;
+};
+
 /**
  * Render spans as one Chrome trace-event document — the one span
  * writer. Spans are sorted by (pid, tid, ts, span id) so every track
@@ -197,10 +205,11 @@ struct ProcessName
  * parent_id as 0x-hex string args (u64 ids do not survive JSON
  * doubles), an untraced one (trace id 0) none, plus job/attempt/error
  * when set. Every track that carries attempt spans is named
- * "worker <tid>".
+ * "worker <tid>"; @p tracks names others.
  */
 void writeChromeTrace(std::ostream &os, const std::vector<Span> &spans,
-                      const std::vector<ProcessName> &processes);
+                      const std::vector<ProcessName> &processes,
+                      const std::vector<TrackName> &tracks = {});
 
 } // namespace aurora::obs
 

@@ -22,6 +22,7 @@
 #include "shard/swarm.hh"
 #include "trace/spec_profiles.hh"
 #include "util/logging.hh"
+#include "util/message.hh"
 #include "util/parallel.hh"
 #include "util/record_io.hh"
 
@@ -33,59 +34,64 @@ namespace fs = std::filesystem;
 namespace
 {
 
-/** Spool manifest format (one <fp>.grid record file per grid). */
-constexpr std::uint32_t MANIFEST_VERSION = 1;
-constexpr std::uint8_t MAN_SUBMIT = 1;
-constexpr std::uint8_t MAN_CANCEL = 2;
+/** Track of the admission spans in a grid trace: past every worker
+ *  track (a SpanLog numbers the threads that use it from 0). */
+constexpr std::uint32_t ADMISSION_TID = 1u << 16;
 
-/** The parsed content of a spool manifest. */
+/** Spool manifest records (one <fp>.grid record file per grid). */
+enum class ManifestRecord : std::uint8_t
+{
+    Submit = 1,
+    Cancel = 2,
+};
+
+constexpr util::MessageName<ManifestRecord> MANIFEST_RECORDS[] = {
+    {ManifestRecord::Submit, "manifest submission"},
+    {ManifestRecord::Cancel, "manifest cancel"},
+};
+
+constexpr std::uint32_t MANIFEST_VERSION = 1;
+
+/** A spool manifest: the admitted submission, then what
+ *  readManifest() found after it. */
 struct ManifestData
 {
+    static constexpr ManifestRecord TYPE = ManifestRecord::Submit;
+    std::uint32_t version = MANIFEST_VERSION;
     std::uint64_t fingerprint = 0;
     std::string tenant;
-    std::string label;
-    bool cancel_on_disconnect = false;
-    bool has_base_seed = false;
-    std::uint64_t base_seed = 0;
-    std::uint64_t deadline_ms = 0;
-    std::uint32_t retries = 0;
-    std::uint64_t backoff_ms = 0;
-    std::vector<wire::SubmitJob> jobs;
+    /** All but the trace id: the format predates tracing. */
+    wire::SubmitMsg submit;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(version, fingerprint, tenant, submit.label,
+          submit.cancel_on_disconnect, submit.has_base_seed,
+          submit.base_seed, submit.deadline_ms, submit.retries,
+          submit.backoff_ms, submit.jobs);
+    }
+
+    // Found by readManifest(), not part of the record:
     bool cancelled = false;
     /** File length past the last good record (torn-tail repair). */
     std::uint64_t valid_bytes = 0;
     bool dropped_tail = false;
 };
 
-std::string
-submitRecordPayload(const ManifestData &man)
+/** The record that marks a grid cancelled (the type byte alone). */
+struct ManifestCancel
 {
-    util::ByteWriter w;
-    w.u8(MAN_SUBMIT);
-    w.u32(MANIFEST_VERSION);
-    w.u64(man.fingerprint);
-    w.str(man.tenant);
-    w.str(man.label);
-    w.u8(man.cancel_on_disconnect ? 1 : 0);
-    w.u8(man.has_base_seed ? 1 : 0);
-    w.u64(man.base_seed);
-    w.u64(man.deadline_ms);
-    w.u32(man.retries);
-    w.u64(man.backoff_ms);
-    w.u64(man.jobs.size());
-    for (const wire::SubmitJob &job : man.jobs) {
-        w.str(job.machine_spec);
-        w.str(job.profile);
-        w.u64(job.instructions);
-    }
-    return w.bytes();
-}
+    static constexpr ManifestRecord TYPE = ManifestRecord::Cancel;
+    template <class F> void fields(F &) {}
+};
 
 /**
  * Parse a spool manifest. Throws SimError(BadJournal) when the
- * submission record is missing, torn, corrupt, or version-skewed —
- * such a grid was never acknowledged to a client (the manifest is
- * written before Accepted), so skipping it loses nothing durable.
+ * submission record is missing, torn, corrupt, malformed, or
+ * version-skewed — such a grid was never acknowledged to a client
+ * (the manifest is written before Accepted), so skipping it loses
+ * nothing durable.
  */
 ManifestData
 readManifest(const std::string &path)
@@ -95,35 +101,19 @@ readManifest(const std::string &path)
     if (reader.next(payload) != util::RecordStatus::Ok)
         util::raiseError(util::SimErrorCode::BadJournal, "manifest '",
                          path, "' has no complete submission record");
-    util::ByteReader rd(payload);
-    if (rd.u8() != MAN_SUBMIT)
+    ManifestData man;
+    try {
+        man = util::decodeMessage<ManifestData>(payload,
+                                                MANIFEST_RECORDS);
+    } catch (const util::SimError &e) {
         util::raiseError(util::SimErrorCode::BadJournal, "manifest '",
-                         path,
-                         "' does not start with a submission record");
-    const std::uint32_t version = rd.u32();
-    if (version != MANIFEST_VERSION)
+                         path, "': ", e.message());
+    }
+    if (man.version != MANIFEST_VERSION)
         util::raiseError(util::SimErrorCode::BadJournal, "manifest '",
-                         path, "' is format version ", version,
+                         path, "' is format version ", man.version,
                          "; this build reads version ",
                          MANIFEST_VERSION);
-    ManifestData man;
-    man.fingerprint = rd.u64();
-    man.tenant = rd.str();
-    man.label = rd.str();
-    man.cancel_on_disconnect = rd.u8() != 0;
-    man.has_base_seed = rd.u8() != 0;
-    man.base_seed = rd.u64();
-    man.deadline_ms = rd.u64();
-    man.retries = rd.u32();
-    man.backoff_ms = rd.u64();
-    const std::uint64_t jobs = rd.u64();
-    for (std::uint64_t i = 0; i < jobs; ++i) {
-        wire::SubmitJob job;
-        job.machine_spec = rd.str();
-        job.profile = rd.str();
-        job.instructions = rd.u64();
-        man.jobs.push_back(std::move(job));
-    }
 
     for (;;) {
         const util::RecordStatus status = reader.next(payload);
@@ -139,8 +129,8 @@ readManifest(const std::string &path)
             util::raiseError(util::SimErrorCode::BadJournal,
                              "manifest '", path,
                              "' is corrupt mid-file");
-        util::ByteReader mrd(payload);
-        if (mrd.u8() == MAN_CANCEL)
+        if (!payload.empty() &&
+            payload[0] == static_cast<char>(ManifestRecord::Cancel))
             man.cancelled = true;
     }
     man.valid_bytes = reader.goodBytes();
@@ -235,7 +225,7 @@ struct Server::Grid
     bool done_notified = false;
     /** submit→first-Result latency recorded (once per residency). */
     bool first_result_recorded = false;
-    /** MAN_CANCEL already appended to the manifest. */
+    /** ManifestCancel record already appended to the manifest. */
     bool cancel_marked = false;
     std::atomic<bool> cancelled{false};
     std::unique_ptr<harness::JournalWriter> journal;
@@ -370,6 +360,39 @@ Server::applyRecord(Grid &grid, harness::JournalRecord record,
     ++done_jobs_;
 }
 
+std::unique_ptr<Server::Grid>
+Server::makeGrid(std::uint64_t fingerprint, std::string tenant,
+                 const wire::SubmitMsg &submit,
+                 std::vector<harness::SweepJob> jobs) const
+{
+    auto grid = std::make_unique<Grid>();
+    grid->fingerprint = fingerprint;
+    grid->tenant = std::move(tenant);
+    grid->label = submit.label;
+    grid->jobs = std::move(jobs);
+    if (submit.has_base_seed)
+        grid->policy.base_seed = submit.base_seed;
+    grid->policy.deadline_ms = submit.deadline_ms;
+    grid->policy.retries = submit.retries;
+    grid->policy.backoff_ms = submit.backoff_ms;
+    grid->cancel_on_disconnect = submit.cancel_on_disconnect;
+    grid->state.resize(grid->jobs.size(), Grid::JobState::Pending);
+    grid->records.resize(grid->jobs.size());
+    grid->cadence =
+        config_.progress_every != 0
+            ? config_.progress_every
+            : std::max<std::size_t>(1, grid->jobs.size() / 4);
+    // Causal trace id: the client's if it sent one, else minted from
+    // the fingerprint. The manifest does not keep a client's id (its
+    // format predates tracing and stays byte-stable), so a restarted
+    // daemon re-mints the same fingerprint id its first life minted.
+    grid->trace_id = submit.trace_id != 0
+                         ? submit.trace_id
+                         : obs::traceIdForGrid(fingerprint);
+    grid->policy.span_context.trace_id = grid->trace_id;
+    return grid;
+}
+
 void
 Server::loadSpool()
 {
@@ -396,9 +419,9 @@ Server::loadSpool()
         if (man.dropped_tail)
             fs::resize_file(path, man.valid_bytes);
 
-        auto grid = std::make_unique<Grid>();
+        std::vector<harness::SweepJob> jobs;
         try {
-            grid->jobs = buildJobs(man.jobs);
+            jobs = buildJobs(man.submit.jobs);
         } catch (const util::SimError &e) {
             warn(detail::concat("spool: manifest ", path.string(),
                                 " references an unknown model or "
@@ -406,28 +429,8 @@ Server::loadSpool()
                                 e.what()));
             continue;
         }
-        grid->fingerprint = man.fingerprint;
-        grid->tenant = man.tenant;
-        grid->label = man.label;
-        grid->policy.base_seed =
-            man.has_base_seed
-                ? std::optional<std::uint64_t>(man.base_seed)
-                : std::nullopt;
-        grid->policy.deadline_ms = man.deadline_ms;
-        grid->policy.retries = man.retries;
-        grid->policy.backoff_ms = man.backoff_ms;
-        grid->cancel_on_disconnect = man.cancel_on_disconnect;
-        grid->state.resize(grid->jobs.size(), Grid::JobState::Pending);
-        grid->records.resize(grid->jobs.size());
-        grid->cadence =
-            config_.progress_every != 0
-                ? config_.progress_every
-                : std::max<std::size_t>(1, grid->jobs.size() / 4);
-        // The trace id is a pure function of the fingerprint, so a
-        // restarted daemon re-mints the same id and the spans it emits
-        // land in the same trace as the first life's.
-        grid->trace_id = obs::traceIdForGrid(grid->fingerprint);
-        grid->policy.span_context.trace_id = grid->trace_id;
+        auto grid = makeGrid(man.fingerprint, man.tenant, man.submit,
+                             std::move(jobs));
 
         const std::uint64_t fp = harness::gridFingerprint(
             grid->jobs, grid->policy.base_seed);
@@ -1026,29 +1029,7 @@ Server::handleSubmit(Session &session, const std::string &payload)
         return;
     }
 
-    auto grid = std::make_unique<Grid>();
-    grid->fingerprint = fp;
-    grid->tenant = session.tenant();
-    grid->label = msg.label;
-    grid->jobs = std::move(jobs);
-    grid->policy.base_seed = base_seed;
-    grid->policy.deadline_ms = msg.deadline_ms;
-    grid->policy.retries = msg.retries;
-    grid->policy.backoff_ms = msg.backoff_ms;
-    grid->cancel_on_disconnect = msg.cancel_on_disconnect;
-    grid->state.resize(grid->jobs.size(), Grid::JobState::Pending);
-    grid->records.resize(grid->jobs.size());
-    grid->cadence =
-        config_.progress_every != 0
-            ? config_.progress_every
-            : std::max<std::size_t>(1, grid->jobs.size() / 4);
-    // Causal trace id: the client's if it sent one, else minted from
-    // the fingerprint. (A restart re-mints from the fingerprint, so a
-    // client-supplied id does not survive resume — the manifest
-    // format predates tracing and stays byte-stable.)
-    grid->trace_id = msg.trace_id != 0 ? msg.trace_id
-                                       : obs::traceIdForGrid(fp);
-    grid->policy.span_context.trace_id = grid->trace_id;
+    auto grid = makeGrid(fp, session.tenant(), msg, std::move(jobs));
 
     // Durability point: manifest first (flushed), then the journal
     // header. Only after both exist is the client told Accepted —
@@ -1057,17 +1038,10 @@ Server::handleSubmit(Session &session, const std::string &payload)
         ManifestData man;
         man.fingerprint = fp;
         man.tenant = grid->tenant;
-        man.label = grid->label;
-        man.cancel_on_disconnect = grid->cancel_on_disconnect;
-        man.has_base_seed = base_seed.has_value();
-        man.base_seed = base_seed.value_or(0);
-        man.deadline_ms = grid->policy.deadline_ms;
-        man.retries = grid->policy.retries;
-        man.backoff_ms = grid->policy.backoff_ms;
-        man.jobs = msg.jobs;
+        man.submit = msg;
         util::RecordFileWriter manifest(spoolFile(fp, ".grid"),
                                         /*truncate=*/true);
-        manifest.append(submitRecordPayload(man));
+        manifest.append(util::encodeMessage(man));
         grid->journal = std::make_unique<harness::JournalWriter>(
             spoolFile(fp, ".ajrn"), fp, grid->jobs.size());
     } catch (const util::SimError &e) {
@@ -1079,7 +1053,7 @@ Server::handleSubmit(Session &session, const std::string &payload)
     const std::size_t total = grid->jobs.size();
     const std::uint64_t trace = grid->trace_id;
     // The admission stage span: decode through durability point, on
-    // the serve track, parented to the grid root.
+    // its own track of the daemon, parented to the grid root.
     {
         obs::Span adm;
         adm.trace_id = trace;
@@ -1088,6 +1062,7 @@ Server::handleSubmit(Session &session, const std::string &payload)
         adm.name = "admission";
         adm.cat = "admission";
         adm.pid = 0;
+        adm.tid = ADMISSION_TID;
         adm.ts_us = 0.0;
         adm.dur_us = grid->timer.seconds() * 1e6;
         grid->span_log.add(std::move(adm));
@@ -1405,7 +1380,8 @@ Server::writeGridTrace(Grid &grid)
         warn(detail::concat("cannot write grid trace ", path));
         return;
     }
-    obs::writeChromeTrace(os, spans, processes);
+    obs::writeChromeTrace(os, spans, processes,
+                          {{0, ADMISSION_TID, "admission"}});
     os.flush();
     if (!os.good()) {
         warn(detail::concat("short write on grid trace ", path));
@@ -1488,9 +1464,7 @@ Server::markCancelManifest(Grid &grid)
         return;
     util::RecordFileWriter manifest(
         spoolFile(grid.fingerprint, ".grid"), /*truncate=*/false);
-    util::ByteWriter w;
-    w.u8(MAN_CANCEL);
-    manifest.append(w.bytes());
+    manifest.append(util::encodeMessage(ManifestCancel{}));
     grid.cancel_marked = true;
 }
 

@@ -151,6 +151,12 @@ class Server
   private:
     struct Grid;
 
+    /** A grid for @p submit, as admitted or as recovered from its
+     *  spool manifest. */
+    std::unique_ptr<Grid> makeGrid(std::uint64_t fingerprint,
+                                   std::string tenant,
+                                   const wire::SubmitMsg &submit,
+                                   std::vector<harness::SweepJob> jobs) const;
     void loadSpool();
     void startWorkers();
     void stopWorkers();

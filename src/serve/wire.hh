@@ -9,9 +9,9 @@
  *
  * all little-endian. The CRC means a torn or bit-flipped frame is
  * *detected*, never misparsed — the same guarantee the sweep journal
- * gives on disk, extended to the socket. Payload byte 0 is the
- * MsgType; the rest is a ByteWriter/ByteReader encoding, so doubles
- * cross the wire bit-exactly.
+ * gives on disk, extended to the socket. Payloads are util/message
+ * encodings: byte 0 is the MsgType, then the fields each message's
+ * fields() lists, so doubles cross the wire bit-exactly.
  *
  * Conversation shape (client drives, server streams):
  *
@@ -40,14 +40,12 @@
 #define AURORA_SERVE_WIRE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "util/frame.hh"
-#include "util/record_io.hh"
+#include "util/message.hh"
 #include "util/sim_error.hh"
-#include "util/socket.hh"
 
 namespace aurora::serve::wire
 {
@@ -91,47 +89,81 @@ enum class MsgType : std::uint8_t
     MetricsReport = 73,
 };
 
+/** Every message type and its display name ("Hello", ...). */
+inline constexpr util::MessageName<MsgType> MESSAGES[] = {
+    {MsgType::Hello, "Hello"},
+    {MsgType::Submit, "Submit"},
+    {MsgType::Attach, "Attach"},
+    {MsgType::Cancel, "Cancel"},
+    {MsgType::Status, "Status"},
+    {MsgType::Metrics, "Metrics"},
+    {MsgType::Welcome, "Welcome"},
+    {MsgType::Accepted, "Accepted"},
+    {MsgType::Rejected, "Rejected"},
+    {MsgType::Progress, "Progress"},
+    {MsgType::Result, "Result"},
+    {MsgType::GridDone, "GridDone"},
+    {MsgType::StatusReport, "StatusReport"},
+    {MsgType::CancelOk, "CancelOk"},
+    {MsgType::Draining, "Draining"},
+    {MsgType::MetricsReport, "MetricsReport"},
+};
+
 /** Display name ("Hello", "GridDone", ...) for logs and tests. */
-const char *msgTypeName(MsgType type);
+inline const char *
+msgTypeName(MsgType type)
+{
+    return util::messageName(MESSAGES, type);
+}
 
 /** First byte of @p payload as a MsgType; BadWire when empty or not
  *  a known type. */
-MsgType peekType(const std::string &payload);
+inline MsgType
+peekType(const std::string &payload)
+{
+    return util::peekMessageType(MESSAGES, payload);
+}
 
 /** Wrap @p payload in a wire frame (magic + length + CRC). */
-std::string frame(const std::string &payload);
+inline std::string
+frame(const std::string &payload)
+{
+    return util::frame(WIRE_MAGIC, payload);
+}
 
 /** Shared frame-extraction status (see util/frame.hh). Corrupt is
  *  terminal for the connection — the peer is dropped (AUR207). */
 using util::FrameStatus;
 
 /** util::FrameDecoder fixed to the serve protocol's magic. */
-class FrameDecoder : public util::FrameDecoder
-{
-  public:
-    FrameDecoder() : util::FrameDecoder(WIRE_MAGIC) {}
-};
+using FrameDecoder = util::MagicFrameDecoder<WIRE_MAGIC>;
 
 /** Blocking send of one framed payload (client side). */
-void sendFrame(int fd, const std::string &payload);
+inline void
+sendFrame(int fd, const std::string &payload)
+{
+    util::sendFrame(fd, WIRE_MAGIC, payload);
+}
 
 /**
  * Blocking receive of the next framed payload (client side), reading
- * through @p decoder. Returns std::nullopt on a clean peer close at a
- * frame boundary; throws SimError(BadWire) on corruption, on a close
- * mid-frame, or after @p timeout_ms with no complete frame.
+ * through a FrameDecoder. Returns std::nullopt on a clean peer close at
+ * a frame boundary; throws SimError(BadWire) on corruption, on a close
+ * mid-frame, or after timeout_ms with no complete frame.
  */
-std::optional<std::string> recvFrame(int fd, FrameDecoder &decoder,
-                                     std::uint64_t timeout_ms = 0);
+using util::recvFrame;
 
 /// @name Messages (client → server)
 /// @{
 
 struct HelloMsg
 {
+    static constexpr MsgType TYPE = MsgType::Hello;
     std::uint32_t version = PROTOCOL_VERSION;
     /** Tenant identity for quotas and fair scheduling; non-empty. */
     std::string tenant;
+
+    template <class F> void fields(F &f) { f(version, tenant); }
 };
 
 /** One grid point of a submission, in portable textual form. */
@@ -143,10 +175,17 @@ struct SubmitJob
     std::string profile;
     /** Instruction budget. */
     std::uint64_t instructions = 0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(machine_spec, profile, instructions);
+    }
 };
 
 struct SubmitMsg
 {
+    static constexpr MsgType TYPE = MsgType::Submit;
     /** Human label for status listings (not part of the identity). */
     std::string label;
     /** Cancel the grid if this connection drops before it finishes
@@ -168,20 +207,35 @@ struct SubmitMsg
      * encoded only when nonzero, absent on v1 frames.
      */
     std::uint64_t trace_id = 0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(label, cancel_on_disconnect, has_base_seed, base_seed, deadline_ms,
+          retries, backoff_ms, jobs, util::Trailing{trace_id});
+    }
 };
 
 struct AttachMsg
 {
+    static constexpr MsgType TYPE = MsgType::Attach;
     std::uint64_t fingerprint = 0;
+
+    template <class F> void fields(F &f) { f(fingerprint); }
 };
 
 struct CancelMsg
 {
+    static constexpr MsgType TYPE = MsgType::Cancel;
     std::uint64_t fingerprint = 0;
+
+    template <class F> void fields(F &f) { f(fingerprint); }
 };
 
 struct StatusMsg
 {
+    static constexpr MsgType TYPE = MsgType::Status;
+    template <class F> void fields(F &) {}
 };
 
 /** Exposition format of a Metrics request / report. */
@@ -194,7 +248,14 @@ enum class MetricsFormat : std::uint8_t
 /** v2: ask for a metrics exposition (aurora_top's poll). */
 struct MetricsMsg
 {
+    static constexpr MsgType TYPE = MsgType::Metrics;
     MetricsFormat format = MetricsFormat::Prometheus;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(util::Bounded{format, MetricsFormat::Json});
+    }
 };
 
 /// @}
@@ -203,12 +264,16 @@ struct MetricsMsg
 
 struct WelcomeMsg
 {
+    static constexpr MsgType TYPE = MsgType::Welcome;
     std::uint32_t version = PROTOCOL_VERSION;
     bool draining = false;
+
+    template <class F> void fields(F &f) { f(version, draining); }
 };
 
 struct AcceptedMsg
 {
+    static constexpr MsgType TYPE = MsgType::Accepted;
     /** gridFingerprint() of the accepted grid — the durable handle a
      *  client re-attaches by after either side restarts. */
     std::uint64_t fingerprint = 0;
@@ -223,21 +288,35 @@ struct AcceptedMsg
      * server includes it only on v2 sessions (0 = not conveyed).
      */
     std::uint64_t trace_id = 0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(fingerprint, jobs, done, attached, util::Trailing{trace_id});
+    }
 };
 
 struct RejectedMsg
 {
+    static constexpr MsgType TYPE = MsgType::Rejected;
     /** Stable catalog ID (AUR2xx admission/protocol, or the AUR0xx
      *  preflight lint that failed). */
     std::string id;
     util::SimErrorCode code = util::SimErrorCode::Internal;
     std::string message;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(id, util::Bounded{code, util::SimErrorCode::BadWire}, message);
+    }
 };
 
 /** Cadenced heartbeat for one grid (mirrors harness::SweepProgress,
  *  plus the service's cancelled count). */
 struct ProgressMsg
 {
+    static constexpr MsgType TYPE = MsgType::Progress;
     std::uint64_t fingerprint = 0;
     std::uint64_t done = 0;
     std::uint64_t total = 0;
@@ -246,18 +325,29 @@ struct ProgressMsg
     std::uint64_t timed_out = 0;
     std::uint64_t cancelled = 0;
     double elapsed_seconds = 0.0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(fingerprint, done, total, ok, failed, timed_out, cancelled,
+          elapsed_seconds);
+    }
 };
 
 struct ResultMsg
 {
+    static constexpr MsgType TYPE = MsgType::Result;
     std::uint64_t fingerprint = 0;
     /** harness::encodeJournalRecord() bytes of the completed job —
      *  decode with harness::decodeJournalRecord(). */
     std::string record;
+
+    template <class F> void fields(F &f) { f(fingerprint, record); }
 };
 
 struct GridDoneMsg
 {
+    static constexpr MsgType TYPE = MsgType::GridDone;
     std::uint64_t fingerprint = 0;
     std::uint64_t ok = 0;
     std::uint64_t failed = 0;
@@ -265,79 +355,96 @@ struct GridDoneMsg
     std::uint64_t cancelled = 0;
     /** Jobs replayed from the journal after a daemon restart. */
     std::uint64_t resumed = 0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(fingerprint, ok, failed, timed_out, cancelled, resumed);
+    }
 };
 
 struct StatusReportMsg
 {
+    static constexpr MsgType TYPE = MsgType::StatusReport;
     bool draining = false;
     std::uint64_t grids = 0;
     std::uint64_t done_grids = 0;
     std::uint64_t queued_jobs = 0;
     std::uint64_t running_jobs = 0;
     std::uint64_t done_jobs = 0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(draining, grids, done_grids, queued_jobs, running_jobs, done_jobs);
+    }
 };
 
 struct CancelOkMsg
 {
+    static constexpr MsgType TYPE = MsgType::CancelOk;
     std::uint64_t fingerprint = 0;
     /** Queued jobs finalized as Cancelled by this request. */
     std::uint64_t cancelled_jobs = 0;
+
+    template <class F> void fields(F &f) { f(fingerprint, cancelled_jobs); }
 };
 
 /** Sent to every connected client when drain begins. */
 struct DrainingMsg
 {
+    static constexpr MsgType TYPE = MsgType::Draining;
     std::string reason;
+
+    template <class F> void fields(F &f) { f(reason); }
 };
 
 /** v2: one metrics exposition (obs::renderPrometheus / renderMetricsJson). */
 struct MetricsReportMsg
 {
+    static constexpr MsgType TYPE = MsgType::MetricsReport;
     MetricsFormat format = MetricsFormat::Prometheus;
     std::string body;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(util::Bounded{format, MetricsFormat::Json}, body);
+    }
 };
 
 /// @}
 
-/// Encode one message to its payload bytes (type byte included).
-/// @{
-std::string encode(const HelloMsg &m);
-std::string encode(const SubmitMsg &m);
-std::string encode(const AttachMsg &m);
-std::string encode(const CancelMsg &m);
-std::string encode(const StatusMsg &m);
-std::string encode(const MetricsMsg &m);
-std::string encode(const WelcomeMsg &m);
-std::string encode(const AcceptedMsg &m);
-std::string encode(const RejectedMsg &m);
-std::string encode(const ProgressMsg &m);
-std::string encode(const ResultMsg &m);
-std::string encode(const GridDoneMsg &m);
-std::string encode(const StatusReportMsg &m);
-std::string encode(const CancelOkMsg &m);
-std::string encode(const DrainingMsg &m);
-std::string encode(const MetricsReportMsg &m);
-/// @}
+/** Encode one message to its payload bytes (type byte included). */
+template <util::MessageOf<MsgType> M>
+std::string
+encode(const M &m)
+{
+    return util::encodeMessage(m);
+}
 
 /// Decode one payload; throws SimError(BadWire) on a wrong type byte,
-/// an out-of-range field, or trailing bytes (format mismatch).
+/// a truncated payload, an out-of-range field, or trailing bytes
+/// (format mismatch).
 /// @{
-HelloMsg decodeHello(const std::string &payload);
-SubmitMsg decodeSubmit(const std::string &payload);
-AttachMsg decodeAttach(const std::string &payload);
-CancelMsg decodeCancel(const std::string &payload);
-StatusMsg decodeStatus(const std::string &payload);
-MetricsMsg decodeMetrics(const std::string &payload);
-WelcomeMsg decodeWelcome(const std::string &payload);
-AcceptedMsg decodeAccepted(const std::string &payload);
-RejectedMsg decodeRejected(const std::string &payload);
-ProgressMsg decodeProgress(const std::string &payload);
-ResultMsg decodeResult(const std::string &payload);
-GridDoneMsg decodeGridDone(const std::string &payload);
-StatusReportMsg decodeStatusReport(const std::string &payload);
-CancelOkMsg decodeCancelOk(const std::string &payload);
-DrainingMsg decodeDraining(const std::string &payload);
-MetricsReportMsg decodeMetricsReport(const std::string &payload);
+template <class M>
+using Decoder = util::MessageDecoder<M, MESSAGES>;
+inline constexpr Decoder<HelloMsg> decodeHello{};
+inline constexpr Decoder<SubmitMsg> decodeSubmit{};
+inline constexpr Decoder<AttachMsg> decodeAttach{};
+inline constexpr Decoder<CancelMsg> decodeCancel{};
+inline constexpr Decoder<StatusMsg> decodeStatus{};
+inline constexpr Decoder<MetricsMsg> decodeMetrics{};
+inline constexpr Decoder<WelcomeMsg> decodeWelcome{};
+inline constexpr Decoder<AcceptedMsg> decodeAccepted{};
+inline constexpr Decoder<RejectedMsg> decodeRejected{};
+inline constexpr Decoder<ProgressMsg> decodeProgress{};
+inline constexpr Decoder<ResultMsg> decodeResult{};
+inline constexpr Decoder<GridDoneMsg> decodeGridDone{};
+inline constexpr Decoder<StatusReportMsg> decodeStatusReport{};
+inline constexpr Decoder<CancelOkMsg> decodeCancelOk{};
+inline constexpr Decoder<DrainingMsg> decodeDraining{};
+inline constexpr Decoder<MetricsReportMsg> decodeMetricsReport{};
 /// @}
 
 } // namespace aurora::serve::wire

@@ -4,9 +4,10 @@
  *
  * Frames are util/frame's CRC framing under the 'ASW1' magic —
  * distinct from serve's 'AWP1' and the journal's 'AJRN', so a client
- * that dials the wrong socket is refused at its first frame. Payload
- * byte 0 is the MsgType; the rest is a ByteWriter/ByteReader
- * encoding, so seeds and doubles cross the wire bit-exactly.
+ * that dials the wrong socket is refused at its first frame. Payloads
+ * are util/message encodings: byte 0 is the MsgType, then the fields
+ * each message's fields() lists, so seeds and doubles cross the wire
+ * bit-exactly.
  *
  * Conversation shape (coordinator supervises, shard pulls):
  *
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "util/frame.hh"
+#include "util/message.hh"
 
 namespace aurora::shard::wire
 {
@@ -75,34 +77,60 @@ enum class MsgType : std::uint8_t
     Shutdown = 67,
 };
 
+/** Every message type and its display name ("Hello", ...). */
+inline constexpr util::MessageName<MsgType> MESSAGES[] = {
+    {MsgType::Hello, "Hello"},
+    {MsgType::Beat, "Beat"},
+    {MsgType::Result, "Result"},
+    {MsgType::Welcome, "Welcome"},
+    {MsgType::Assign, "Assign"},
+    {MsgType::Fenced, "Fenced"},
+    {MsgType::Shutdown, "Shutdown"},
+};
+
 /** Display name ("Hello", "Fenced", ...) for logs and tests. */
-const char *msgTypeName(MsgType type);
+inline const char *
+msgTypeName(MsgType type)
+{
+    return util::messageName(MESSAGES, type);
+}
 
 /** First byte of @p payload as a MsgType; BadWire when empty or not
  *  a known type. */
-MsgType peekType(const std::string &payload);
+inline MsgType
+peekType(const std::string &payload)
+{
+    return util::peekMessageType(MESSAGES, payload);
+}
 
 /** util::FrameDecoder fixed to the shard fabric's magic. */
-class FrameDecoder : public util::FrameDecoder
-{
-  public:
-    FrameDecoder() : util::FrameDecoder(SHARD_MAGIC) {}
-};
+using FrameDecoder = util::MagicFrameDecoder<SHARD_MAGIC>;
 
 /** Wrap @p payload in a shard wire frame. */
-std::string frame(const std::string &payload);
+inline std::string
+frame(const std::string &payload)
+{
+    return util::frame(SHARD_MAGIC, payload);
+}
 
 /** Blocking send of one framed payload. */
-void sendFrame(int fd, const std::string &payload);
+inline void
+sendFrame(int fd, const std::string &payload)
+{
+    util::sendFrame(fd, SHARD_MAGIC, payload);
+}
 
 /// @name Messages (shard → coordinator)
 /// @{
 
 struct HelloMsg
 {
+    static constexpr MsgType TYPE = MsgType::Hello;
     std::uint32_t version = SHARD_PROTOCOL_VERSION;
     /** Shard's pid, for the coordinator's logs and kill drills. */
     std::uint64_t pid = 0;
+
+    template <class F> void fields(F &f) { f(version, pid); }
 };
 
 /** Lease renewal. Sent between jobs and while idle; a shard deep in
@@ -110,14 +138,18 @@ struct HelloMsg
  *  worst-case job time (docs/distributed.md). */
 struct BeatMsg
 {
+    static constexpr MsgType TYPE = MsgType::Beat;
     std::uint32_t slot = 0;
     std::uint64_t epoch = 0;
     /** Jobs this incarnation has completed (monotone; logs only). */
     std::uint64_t done = 0;
+
+    template <class F> void fields(F &f) { f(slot, epoch, done); }
 };
 
 struct ResultMsg
 {
+    static constexpr MsgType TYPE = MsgType::Result;
     std::uint32_t slot = 0;
     /** Epoch the shard holds — the fencing token. */
     std::uint64_t epoch = 0;
@@ -126,6 +158,8 @@ struct ResultMsg
     /** harness::encodeJournalRecord() bytes, already durable in the
      *  shard's local journal. */
     std::string record;
+
+    template <class F> void fields(F &f) { f(slot, epoch, ticket, record); }
 };
 
 /// @}
@@ -134,6 +168,7 @@ struct ResultMsg
 
 struct WelcomeMsg
 {
+    static constexpr MsgType TYPE = MsgType::Welcome;
     std::uint32_t version = SHARD_PROTOCOL_VERSION;
     /** Stable slot index [0, shards) this connection now serves. */
     std::uint32_t slot = 0;
@@ -143,6 +178,12 @@ struct WelcomeMsg
     std::uint64_t lease_ms = 0;
     /** Target cadence for Beat messages (lease_ms / 4 or better). */
     std::uint64_t beat_ms = 0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(version, slot, epoch, lease_ms, beat_ms);
+    }
 };
 
 /** One grid point, in the portable form the shard re-hydrates with
@@ -167,10 +208,19 @@ struct JobSpec
     std::uint64_t deadline_ms = 0;
     std::uint32_t retries = 0;
     std::uint64_t backoff_ms = 0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(ticket, job_index, machine_spec, profile_name, profile_seed,
+          instructions, has_base_seed, base_seed, deadline_ms, retries,
+          backoff_ms);
+    }
 };
 
 struct AssignMsg
 {
+    static constexpr MsgType TYPE = MsgType::Assign;
     /** Epoch these assignments are valid under. */
     std::uint64_t epoch = 0;
     std::vector<JobSpec> jobs;
@@ -181,43 +231,54 @@ struct AssignMsg
      * exchange. Optional trailing field.
      */
     std::uint64_t trace_id = 0;
+
+    template <class F>
+    void fields(F &f)
+    {
+        f(epoch, jobs, util::Trailing{trace_id});
+    }
 };
 
 /** The slot's lease was revoked; the named epoch is dead and every
  *  result sent under it will be refused. The shard must exit. */
 struct FencedMsg
 {
+    static constexpr MsgType TYPE = MsgType::Fenced;
     std::uint64_t epoch = 0;
+
+    template <class F> void fields(F &f) { f(epoch); }
 };
 
 /** Clean end-of-grid: drain and exit 0. */
 struct ShutdownMsg
 {
+    static constexpr MsgType TYPE = MsgType::Shutdown;
+    template <class F> void fields(F &) {}
 };
 
 /// @}
 
-/// Encode one message to its payload bytes (type byte included).
-/// @{
-std::string encode(const HelloMsg &m);
-std::string encode(const BeatMsg &m);
-std::string encode(const ResultMsg &m);
-std::string encode(const WelcomeMsg &m);
-std::string encode(const AssignMsg &m);
-std::string encode(const FencedMsg &m);
-std::string encode(const ShutdownMsg &m);
-/// @}
+/** Encode one message to its payload bytes (type byte included). */
+template <util::MessageOf<MsgType> M>
+std::string
+encode(const M &m)
+{
+    return util::encodeMessage(m);
+}
 
 /// Decode one payload; throws SimError(BadWire) on a wrong type byte,
-/// an out-of-range field, or trailing bytes (format mismatch).
+/// a truncated payload, an out-of-range field, or trailing bytes
+/// (format mismatch).
 /// @{
-HelloMsg decodeHello(const std::string &payload);
-BeatMsg decodeBeat(const std::string &payload);
-ResultMsg decodeResult(const std::string &payload);
-WelcomeMsg decodeWelcome(const std::string &payload);
-AssignMsg decodeAssign(const std::string &payload);
-FencedMsg decodeFenced(const std::string &payload);
-ShutdownMsg decodeShutdown(const std::string &payload);
+template <class M>
+using Decoder = util::MessageDecoder<M, MESSAGES>;
+inline constexpr Decoder<HelloMsg> decodeHello{};
+inline constexpr Decoder<BeatMsg> decodeBeat{};
+inline constexpr Decoder<ResultMsg> decodeResult{};
+inline constexpr Decoder<WelcomeMsg> decodeWelcome{};
+inline constexpr Decoder<AssignMsg> decodeAssign{};
+inline constexpr Decoder<FencedMsg> decodeFenced{};
+inline constexpr Decoder<ShutdownMsg> decodeShutdown{};
 /// @}
 
 } // namespace aurora::shard::wire

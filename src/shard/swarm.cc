@@ -642,7 +642,12 @@ Swarm::shutdownFleet()
     // this way. The drain keeps *polling*: a ZombieAppend shard that
     // wakes during the grace window still gets its late Result
     // refused over the wire (AUR304) instead of dying unheard — the
-    // refusal is part of the fencing contract, not best-effort.
+    // refusal is part of the fencing contract, not best-effort. The
+    // window is in lease terms: a zombie fenced a lease after it went
+    // dark may sleep two more leases, then run one job (which the
+    // lease bounds) before its Result arrives.
+    const std::uint64_t grace_ms =
+        std::max<std::uint64_t>(2000, 4 * config_.lease_ms);
     const Clock::time_point t0 = Clock::now();
     // External mode has no children to reap, but a fenced zombie's
     // kept-open connection (a Loner with a granted epoch) deserves
@@ -655,7 +660,7 @@ Swarm::shutdownFleet()
         return false;
     };
     while ((!children_.empty() || fencedLonerOpen()) &&
-           msSince(t0) < 2000) {
+           msSince(t0) < grace_ms) {
         pollOnce(20);
         reapChildren();
     }

@@ -72,6 +72,14 @@ class FrameDecoder
     std::size_t pos_ = 0;
 };
 
+/** A FrameDecoder fixed to one protocol's @p Magic. */
+template <std::uint32_t Magic>
+class MagicFrameDecoder : public FrameDecoder
+{
+  public:
+    MagicFrameDecoder() : FrameDecoder(Magic) {}
+};
+
 /** Blocking send of one framed payload. */
 void sendFrame(int fd, std::uint32_t magic, const std::string &payload);
 

@@ -96,8 +96,8 @@ void
 ByteReader::need(std::size_t n) const
 {
     if (bytes_.size() - pos_ < n)
-        raiseError(SimErrorCode::BadJournal, "record underrun: need ",
-                   n, " bytes at offset ", pos_, " of ", bytes_.size(),
+        raiseError(underrun_, "record underrun: need ", n,
+                   " bytes at offset ", pos_, " of ", bytes_.size(),
                    " (format/version mismatch?)");
 }
 

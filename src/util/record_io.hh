@@ -66,14 +66,19 @@ class ByteWriter
 
 /**
  * Little-endian payload decoder. An underrun — asking for more bytes
- * than the payload holds — throws SimError(BadJournal): the payload
- * passed its CRC, so a short read means a format/version mismatch,
- * not bit rot.
+ * than the payload holds — throws SimError(@p underrun), BadJournal
+ * by default: the payload passed its CRC, so a short read means a
+ * format/version mismatch, not bit rot. (The message codec reads
+ * wire payloads with BadWire.)
  */
 class ByteReader
 {
   public:
-    explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
+    explicit ByteReader(const std::string &bytes,
+                        SimErrorCode underrun = SimErrorCode::BadJournal)
+        : bytes_(bytes), underrun_(underrun)
+    {
+    }
 
     std::uint8_t u8();
     std::uint32_t u32();
@@ -84,10 +89,14 @@ class ByteReader
     /** Payload fully consumed? (Decoders check this last.) */
     bool exhausted() const { return pos_ == bytes_.size(); }
 
+    /** Bytes not yet consumed. */
+    std::size_t remaining() const { return bytes_.size() - pos_; }
+
   private:
     void need(std::size_t n) const;
 
     const std::string &bytes_;
+    SimErrorCode underrun_;
     std::size_t pos_ = 0;
 };
 

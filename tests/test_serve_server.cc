@@ -21,6 +21,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -86,11 +87,12 @@ class TestDaemon
 class Client
 {
   public:
-    Client(const std::string &socket_path, const std::string &tenant)
+    Client(const std::string &socket_path, const std::string &tenant,
+           std::uint32_t version = wire::PROTOCOL_VERSION)
         : fd_(util::connectUnix(socket_path))
     {
         wire::sendFrame(fd_.get(), wire::encode(wire::HelloMsg{
-                                       wire::PROTOCOL_VERSION, tenant}));
+                                       version, tenant}));
         const auto reply = recv();
         if (!reply)
             util::raiseError(util::SimErrorCode::BadWire,
@@ -409,6 +411,65 @@ TEST(ServeServer, WorkerPoolGridTraceClosesItsParentage)
     ASSERT_FALSE(parents.empty());
     for (const std::string &parent : parents)
         EXPECT_EQ(ids.count(parent), 1u) << "dangling parent " << parent;
+
+    // The admission span sits on a track of its own, named for it,
+    // not under a worker's name.
+    std::map<std::pair<double, double>, std::string> track_names;
+    std::optional<std::pair<double, double>> admission_track;
+    for (const auto &e : events->array) {
+        const std::pair<double, double> track{e.find("pid")->number,
+                                              e.find("tid")->number};
+        if (e.find("name")->string == "thread_name")
+            track_names[track] = e.find("args")->find("name")->string;
+        else if (e.find("name")->string == "admission")
+            admission_track = track;
+    }
+    ASSERT_TRUE(admission_track.has_value()) << "no admission span";
+    ASSERT_EQ(track_names.count(*admission_track), 1u)
+        << "the admission track has no name";
+    EXPECT_NE(track_names[*admission_track].rfind("worker", 0), 0u)
+        << "admission span is on " << track_names[*admission_track];
+}
+
+TEST(ServeServer, V1ClientGetsV1FramesAndIdenticalResults)
+{
+    // One daemon per protocol version: a grid cannot be resident
+    // twice, and each client must run it, not re-attach to it.
+    const wire::SubmitMsg submit =
+        smallSubmit({"espresso", "li", "eqntott"}, 2000, 13);
+    std::map<std::uint32_t, GridStream> streams;
+    for (const std::uint32_t version : {2u, 1u}) {
+        SCOPED_TRACE("protocol v" + std::to_string(version));
+        auto config = baseConfig("serve_v" + std::to_string(version));
+        TestDaemon daemon(std::move(config));
+        Client client(daemon.server().socketPath(), "alice", version);
+        EXPECT_EQ(client.welcome().version, version);
+        client.send(wire::encode(submit));
+        const std::string reply = mustRecv(client);
+        ASSERT_EQ(wire::peekType(reply), wire::MsgType::Accepted);
+        const auto accepted = wire::decodeAccepted(reply);
+        if (version == 1) {
+            // type byte + fp + jobs + done + attached: no trace id.
+            EXPECT_EQ(reply.size(), 1u + 8 + 8 + 8 + 1);
+            EXPECT_EQ(accepted.trace_id, 0u);
+        } else {
+            EXPECT_NE(accepted.trace_id, 0u);
+        }
+        streams[version] = streamToDone(client, accepted.fingerprint);
+        EXPECT_EQ(streams[version].done.ok, 3u);
+    }
+    // Every record matches but its wall-clock seconds.
+    ASSERT_EQ(streams[1].records.size(), 3u);
+    ASSERT_EQ(streams[2].records.size(), 3u);
+    for (const auto &[job, v1] : streams[1].records) {
+        const harness::JournalRecord &v2 = streams[2].records.at(job);
+        EXPECT_EQ(v1.machine_hash, v2.machine_hash) << "job " << job;
+        EXPECT_EQ(v1.seed, v2.seed) << "job " << job;
+        EXPECT_TRUE(v1.outcome.ok) << "job " << job;
+        EXPECT_EQ(harness::runResultBytes(v1.outcome.result),
+                  harness::runResultBytes(v2.outcome.result))
+            << "job " << job;
+    }
 }
 
 TEST(ServeServer, QuotaRejectionLeavesOtherTenantsUndisturbed)

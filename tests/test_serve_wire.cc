@@ -8,12 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "faultinject/faultinject.hh"
+#include "serve/server.hh"
 #include "serve/wire.hh"
 #include "util/sim_error.hh"
+#include "util/socket.hh"
+#include "wire_golden.hh"
 
 namespace
 {
@@ -212,6 +220,161 @@ TEST(WireCodec, EmptyPayloadThrowsBadWire)
         FAIL() << "empty payload not detected";
     } catch (const SimError &e) {
         EXPECT_EQ(e.code(), SimErrorCode::BadWire);
+    }
+}
+
+/** One encoded sample of a message type and the decoder for it. */
+struct Sample
+{
+    std::string key;
+    std::string payload;
+    void (*decode)(const std::string &);
+};
+
+/** One sample of every AWP1 message type; Submit and Accepted also
+ *  in their v2 form (trailing trace id), keyed ".v2". */
+std::vector<Sample>
+samples()
+{
+    SubmitMsg traced = sampleSubmit();
+    traced.trace_id = 0xdeadbeefcafe1234ull;
+    AcceptedMsg accepted{0xabcdefull, 12, 3, true};
+    AcceptedMsg traced_accepted = accepted;
+    traced_accepted.trace_id = 0x1122334455667788ull;
+    return {
+        {"Hello", encode(HelloMsg{2, "alice"}),
+         [](const std::string &p) { (void)decodeHello(p); }},
+        {"Submit", encode(sampleSubmit()),
+         [](const std::string &p) { (void)decodeSubmit(p); }},
+        {"Submit.v2", encode(traced),
+         [](const std::string &p) { (void)decodeSubmit(p); }},
+        {"Attach", encode(AttachMsg{0x0123456789abcdefull}),
+         [](const std::string &p) { (void)decodeAttach(p); }},
+        {"Cancel", encode(CancelMsg{42}),
+         [](const std::string &p) { (void)decodeCancel(p); }},
+        {"Status", encode(StatusMsg{}),
+         [](const std::string &p) { (void)decodeStatus(p); }},
+        {"Metrics", encode(MetricsMsg{MetricsFormat::Json}),
+         [](const std::string &p) { (void)decodeMetrics(p); }},
+        {"Welcome", encode(WelcomeMsg{2, true}),
+         [](const std::string &p) { (void)decodeWelcome(p); }},
+        {"Accepted", encode(accepted),
+         [](const std::string &p) { (void)decodeAccepted(p); }},
+        {"Accepted.v2", encode(traced_accepted),
+         [](const std::string &p) { (void)decodeAccepted(p); }},
+        {"Rejected",
+         encode(RejectedMsg{"AUR203", SimErrorCode::Overloaded,
+                            "queue full"}),
+         [](const std::string &p) { (void)decodeRejected(p); }},
+        {"Progress", encode(ProgressMsg{7, 5, 10, 4, 1, 2, 3, -1.25}),
+         [](const std::string &p) { (void)decodeProgress(p); }},
+        {"Result", encode(ResultMsg{9, std::string("\x01\x02\x00", 3)}),
+         [](const std::string &p) { (void)decodeResult(p); }},
+        {"GridDone", encode(GridDoneMsg{4, 6, 1, 2, 3, 5}),
+         [](const std::string &p) { (void)decodeGridDone(p); }},
+        {"StatusReport", encode(StatusReportMsg{true, 2, 1, 8, 3, 40}),
+         [](const std::string &p) { (void)decodeStatusReport(p); }},
+        {"CancelOk", encode(CancelOkMsg{11, 4}),
+         [](const std::string &p) { (void)decodeCancelOk(p); }},
+        {"Draining", encode(DrainingMsg{"SIGTERM"}),
+         [](const std::string &p) { (void)decodeDraining(p); }},
+        {"MetricsReport",
+         encode(MetricsReportMsg{MetricsFormat::Json, "{\"up\": 1}"}),
+         [](const std::string &p) { (void)decodeMetricsReport(p); }},
+    };
+}
+
+/**
+ * The spool manifest (<fp>.grid) a real daemon writes for a fixed
+ * submission, read back as soon as the daemon answers Accepted (the
+ * manifest is flushed before that reply).
+ */
+std::string
+manifestBytes()
+{
+    namespace fs = std::filesystem;
+    serve::ServerConfig config;
+    config.socket_path =
+        (fs::path(::testing::TempDir()) / "wire_golden.sock").string();
+    config.spool_dir =
+        (fs::path(::testing::TempDir()) / "wire_golden.spool").string();
+    config.workers = 1;
+    fs::remove(config.socket_path);
+    fs::remove_all(config.spool_dir);
+    serve::Server server(config);
+    std::thread thread([&server] { server.run(); });
+
+    SubmitMsg submit;
+    submit.label = "golden";
+    submit.has_base_seed = true;
+    submit.base_seed = 7;
+    submit.deadline_ms = 60'000;
+    submit.retries = 2;
+    submit.backoff_ms = 5;
+    submit.jobs.push_back({"model=small", "espresso", 1000});
+    submit.jobs.push_back({"model=large", "li", 1500});
+
+    std::string bytes;
+    {
+        util::Fd fd = util::connectUnix(server.socketPath());
+        FrameDecoder decoder;
+        sendFrame(fd.get(), encode(HelloMsg{2, "alice"}));
+        recvFrame(fd.get(), decoder, 60'000); // Welcome
+        sendFrame(fd.get(), encode(submit));
+        for (;;) {
+            const auto reply = recvFrame(fd.get(), decoder, 60'000);
+            if (!reply)
+                break;
+            if (peekType(*reply) != MsgType::Accepted)
+                continue;
+            char name[32];
+            std::snprintf(name, sizeof(name), "/%016llx.grid",
+                          static_cast<unsigned long long>(
+                              decodeAccepted(*reply).fingerprint));
+            std::ifstream in(config.spool_dir + name, std::ios::binary);
+            std::ostringstream os;
+            os << in.rdbuf();
+            bytes = os.str();
+            break;
+        }
+    }
+    server.requestDrain();
+    thread.join();
+    return bytes;
+}
+
+TEST(WireGolden, EveryMessageAndTheManifestMatchPinnedBytes)
+{
+    wire_golden::Bytes actual;
+    for (const Sample &s : samples())
+        actual["awp1." + s.key] = wire_golden::hex(frame(s.payload));
+    const std::string manifest = manifestBytes();
+    ASSERT_FALSE(manifest.empty()) << "no spool manifest was written";
+    actual["manifest.submit"] = wire_golden::hex(manifest);
+    const std::vector<std::string> prefixes = {"awp1.", "manifest."};
+    if (wire_golden::update(prefixes, actual))
+        GTEST_SKIP() << "wire fixture regenerated at "
+                     << wire_golden::path();
+    wire_golden::expectMatches(prefixes, actual);
+}
+
+TEST(WireCodec, EveryStrictPrefixIsBadWire)
+{
+    // A truncated payload is a malformed message, never a journal
+    // error or a crash. (The v2 forms are skipped: their prefix
+    // without the trailing trace id is a valid v1 message.)
+    for (const Sample &s : samples()) {
+        if (s.key.ends_with(".v2"))
+            continue;
+        for (std::size_t len = 0; len < s.payload.size(); ++len) {
+            SCOPED_TRACE(s.key + " cut at " + std::to_string(len));
+            try {
+                s.decode(s.payload.substr(0, len));
+                ADD_FAILURE() << "truncated payload decoded";
+            } catch (const SimError &e) {
+                EXPECT_EQ(e.code(), SimErrorCode::BadWire) << e.what();
+            }
+        }
     }
 }
 

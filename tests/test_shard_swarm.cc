@@ -8,17 +8,24 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config_io.hh"
 #include "faultinject/faultinject.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
+#include "obs/trace.hh"
+#include "shard/shard_journal.hh"
+#include "shard/shardd.hh"
 #include "shard/swarm.hh"
 #include "trace/spec_profiles.hh"
 #include "util/sim_error.hh"
+#include "util/socket.hh"
 
 namespace
 {
@@ -46,9 +53,13 @@ testGrid(Count insts = 2000)
 
 #if defined(__SANITIZE_THREAD__)
 #define AURORA_TEST_TSAN 1
+#elif defined(__SANITIZE_ADDRESS__)
+#define AURORA_TEST_ASAN 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define AURORA_TEST_TSAN 1
+#elif __has_feature(address_sanitizer)
+#define AURORA_TEST_ASAN 1
 #endif
 #endif
 
@@ -60,14 +71,28 @@ testGrid(Count insts = 2000)
  * its builds scale the lease by the same factor: job, lease and grid
  * keep their native proportions, and the silent shard of
  * DropHeartbeatsIsFencedWhileResultsFlow is still fenced before it
- * drains its work. The short-job tests keep the 400 ms base lease.
+ * drains its work. AddressSanitizer runs such a job about 3.5x slower
+ * (0.39-0.46 s instead of 0.11-0.13 s per integer profile on a 4-CPU
+ * host); its builds scale the lease by 2.5, which keeps it above the
+ * slowest job and well below the silent shard's drain. The short-job
+ * tests keep the 400 ms base lease.
  */
 constexpr Count LONG_JOB_INSTS = 600'000;
 #ifdef AURORA_TEST_TSAN
 constexpr std::uint64_t LONG_JOB_LEASE_MS = 400 * 20;
+#elif defined(AURORA_TEST_ASAN)
+constexpr std::uint64_t LONG_JOB_LEASE_MS = 1000;
 #else
 constexpr std::uint64_t LONG_JOB_LEASE_MS = 400;
 #endif
+
+/**
+ * Lease for ZombieAppendIsFencedAndRefused. The zombie sleeps three
+ * leases before it sends its stale Result, which lands well after the
+ * grid is done once the lease is above ~700 ms: the coordinator's
+ * shutdown drain must still be waiting for it.
+ */
+constexpr std::uint64_t ZOMBIE_LEASE_MS = 1500;
 
 shard::SwarmConfig
 baseConfig(const std::string &tag)
@@ -116,6 +141,7 @@ TEST(SwarmSupervision, KillShardFencesMigratesAndRecovers)
 TEST(SwarmSupervision, ZombieAppendIsFencedAndRefused)
 {
     shard::SwarmConfig config = baseConfig("zombie");
+    config.lease_ms = ZOMBIE_LEASE_MS;
     config.fault_plans = {
         ShardFaultPlan{ShardFault::ZombieAppend, 1}, std::nullopt};
     shard::Swarm swarm(config);
@@ -134,6 +160,113 @@ TEST(SwarmSupervision, ZombieAppendIsFencedAndRefused)
     EXPECT_FALSE(swarm.fencedEpochs().empty());
 }
 
+/**
+ * Serve one lease as a v1 shard driven by hand: Hello{version=1},
+ * then run every assigned job as aurora_shardd does (journal first,
+ * then Result) until Shutdown. Returns the Assign payloads received.
+ */
+std::vector<std::string>
+runV1Shard(const shard::SwarmConfig &config)
+{
+    namespace wire = shard::wire;
+    util::Fd fd = util::connectUnix(config.socket_path);
+    wire::FrameDecoder decoder;
+    wire::sendFrame(fd.get(),
+                    wire::encode(wire::HelloMsg{
+                        1, static_cast<std::uint64_t>(::getpid())}));
+    const auto reply = util::recvFrame(fd.get(), decoder, 30'000);
+    if (!reply)
+        return {};
+    const wire::WelcomeMsg welcome = wire::decodeWelcome(*reply);
+    EXPECT_EQ(welcome.version, 1u);
+    wire::sendFrame(fd.get(), wire::encode(wire::BeatMsg{
+                                  welcome.slot, welcome.epoch, 0}));
+    shard::ShardJournalWriter journal(
+        shard::shardJournalPath(config.journal_dir, welcome.epoch),
+        welcome.slot, welcome.epoch);
+
+    std::vector<std::string> assigns;
+    while (auto payload = util::recvFrame(fd.get(), decoder, 30'000)) {
+        if (wire::peekType(*payload) != wire::MsgType::Assign)
+            break; // Shutdown (or Fenced, which the caller sees)
+        assigns.push_back(*payload);
+        for (const wire::JobSpec &spec :
+             wire::decodeAssign(*payload).jobs) {
+            harness::SweepJob job;
+            job.machine = core::parseMachineSpec(spec.machine_spec);
+            job.profile = trace::profileByName(spec.profile_name);
+            job.profile.seed = spec.profile_seed;
+            job.instructions = spec.instructions;
+            harness::JobPolicy policy;
+            if (spec.has_base_seed)
+                policy.base_seed = spec.base_seed;
+            const auto index = static_cast<std::size_t>(spec.job_index);
+            const std::string bytes =
+                harness::encodeJournalRecord(harness::jobRecord(
+                    index, job, policy.base_seed,
+                    harness::runJob(job, index, policy)));
+            journal.append({welcome.epoch, spec.ticket, bytes});
+            wire::sendFrame(fd.get(),
+                            wire::encode(wire::ResultMsg{
+                                welcome.slot, welcome.epoch,
+                                spec.ticket, bytes}));
+        }
+    }
+    return assigns;
+}
+
+TEST(SwarmSupervision, V1ShardGetsAssignWithoutTraceIdAndCommits)
+{
+    shard::SwarmConfig config = baseConfig("v1");
+    config.spawn = shard::SpawnMode::External;
+    config.shards = 1;
+    config.lease_ms = 10'000;
+    config.idle_timeout_ms = 10'000;
+    shard::Swarm swarm(config);
+    const auto grid = testGrid();
+
+    // A traced grid: a v2 shard would get the trailing trace id.
+    obs::SpanLog span_log;
+    shard::GridOptions options;
+    options.base_seed = 3;
+    options.trace_id = 0x5eed0000cafef00dull;
+    options.span_log = &span_log;
+    std::vector<harness::SweepOutcome> outcomes;
+    std::string error;
+    std::thread coordinator([&] {
+        try {
+            outcomes = swarm.runGrid(grid, options);
+        } catch (const SimError &e) {
+            error = e.what();
+        }
+    });
+    const std::vector<std::string> assigns = runV1Shard(config);
+    coordinator.join();
+    ASSERT_TRUE(error.empty()) << error;
+
+    ASSERT_FALSE(assigns.empty());
+    for (const std::string &payload : assigns) {
+        const auto assign = shard::wire::decodeAssign(payload);
+        EXPECT_EQ(assign.trace_id, 0u);
+        // Re-encoding with no trace id reproduces every byte: the
+        // frame carried the v1 layout, with no trailing field.
+        EXPECT_EQ(shard::wire::encode(assign), payload);
+    }
+    expectAllOk(outcomes, grid.size());
+    EXPECT_EQ(swarm.stats().committed, grid.size());
+
+    // The v1 shard's records are the serial runner's, byte for byte.
+    harness::SweepOptions serial;
+    serial.workers = 1;
+    serial.base_seed = options.base_seed;
+    const auto expected = harness::SweepRunner(serial).runOutcomes(grid);
+    ASSERT_EQ(expected.size(), outcomes.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i)
+        EXPECT_EQ(harness::runResultBytes(outcomes[i].result),
+                  harness::runResultBytes(expected[i].result))
+            << "job " << i;
+}
+
 TEST(SwarmSupervision, DropHeartbeatsIsFencedWhileResultsFlow)
 {
     // A one-way partition: the shard keeps producing but stops
@@ -144,9 +277,13 @@ TEST(SwarmSupervision, DropHeartbeatsIsFencedWhileResultsFlow)
     config.fault_plans = {
         ShardFaultPlan{ShardFault::DropHeartbeats, 0}, std::nullopt};
     shard::Swarm swarm(config);
-    // Jobs long enough that the silent shard cannot drain the whole
-    // grid inside one lease — the fence must catch it mid-flight.
-    const auto grid = testGrid(LONG_JOB_INSTS);
+    // Work enough that the silent shard cannot drain its half of the
+    // grid inside one lease — the fence must catch it mid-flight. One
+    // pass of the suite is about one lease of work per shard, so the
+    // grid is two passes.
+    auto grid = testGrid(LONG_JOB_INSTS);
+    const auto pass = grid;
+    grid.insert(grid.end(), pass.begin(), pass.end());
     expectAllOk(swarm.runGrid(grid, {}), grid.size());
     EXPECT_GE(swarm.stats().lease_expiries, 1u);
     EXPECT_EQ(swarm.stats().committed, grid.size());

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "shard/shard_wire.hh"
 #include "util/sim_error.hh"
+#include "wire_golden.hh"
 
 namespace
 {
@@ -172,6 +174,79 @@ TEST(ShardWire, TrailingBytesAreBadWire)
         FAIL() << "trailing byte accepted";
     } catch (const SimError &e) {
         EXPECT_EQ(e.code(), SimErrorCode::BadWire);
+    }
+}
+
+/** One encoded sample of a message type and the decoder for it. */
+struct Sample
+{
+    std::string key;
+    std::string payload;
+    void (*decode)(const std::string &);
+};
+
+/** One sample of every ASW1 message type; Assign also in its v2 form
+ *  (trailing trace id), keyed ".v2". */
+std::vector<Sample>
+samples()
+{
+    AssignMsg assign;
+    assign.epoch = 9;
+    assign.jobs.push_back(sampleJob(1));
+    assign.jobs.push_back(sampleJob(2));
+    assign.jobs[1].has_base_seed = false;
+    assign.jobs[1].profile_name = "tomcatv";
+    AssignMsg traced = assign;
+    traced.trace_id = 0xfeedface12345678ull;
+    return {
+        {"Hello", encode(HelloMsg{2, 4242}),
+         [](const std::string &p) { (void)decodeHello(p); }},
+        {"Beat", encode(BeatMsg{3, 17, 9}),
+         [](const std::string &p) { (void)decodeBeat(p); }},
+        {"Result", encode(ResultMsg{1, 5, 77, std::string("rec\0", 4)}),
+         [](const std::string &p) { (void)decodeResult(p); }},
+        {"Welcome", encode(WelcomeMsg{2, 1, 5, 400, 100}),
+         [](const std::string &p) { (void)decodeWelcome(p); }},
+        {"Assign", encode(assign),
+         [](const std::string &p) { (void)decodeAssign(p); }},
+        {"Assign.v2", encode(traced),
+         [](const std::string &p) { (void)decodeAssign(p); }},
+        {"Fenced", encode(FencedMsg{23}),
+         [](const std::string &p) { (void)decodeFenced(p); }},
+        {"Shutdown", encode(ShutdownMsg{}),
+         [](const std::string &p) { (void)decodeShutdown(p); }},
+    };
+}
+
+TEST(ShardWire, EveryMessageMatchesPinnedBytes)
+{
+    wire_golden::Bytes actual;
+    for (const Sample &s : samples())
+        actual["asw1." + s.key] = wire_golden::hex(frame(s.payload));
+    const std::vector<std::string> prefixes = {"asw1."};
+    if (wire_golden::update(prefixes, actual))
+        GTEST_SKIP() << "wire fixture regenerated at "
+                     << wire_golden::path();
+    wire_golden::expectMatches(prefixes, actual);
+}
+
+TEST(ShardWire, EveryStrictPrefixIsBadWire)
+{
+    // A truncated payload is a malformed message, never a journal
+    // error or a crash. (Assign.v2 is skipped: its prefix without the
+    // trailing trace id is a valid v1 Assign.)
+    for (const Sample &s : samples()) {
+        if (s.key.ends_with(".v2"))
+            continue;
+        for (std::size_t len = 0; len < s.payload.size(); ++len) {
+            SCOPED_TRACE(s.key + " cut at " + std::to_string(len));
+            try {
+                s.decode(s.payload.substr(0, len));
+                ADD_FAILURE() << "truncated payload decoded";
+            } catch (const SimError &e) {
+                EXPECT_EQ(e.code(), SimErrorCode::BadWire) << e.what();
+            }
+        }
     }
 }
 
